@@ -10,7 +10,9 @@
 //  2. wall-clock load — how many windows/second the server sustains, the
 //     p50/p99 ready-to-publish latency against the 50 ms interval budget,
 //     and whether admission control had to shed anything at the nominal
-//     session count.
+//     session count. The same load then runs on a 1-lane pool:
+//     bench.serve.lane_speedup = all-lane windows/s ÷ 1-lane windows/s
+//     shows whether per-window inference actually spreads over the pool.
 //
 // Knobs: FMNET_SERVE_SESSIONS (default 1000; FMNET_FAST shrinks training
 // and tick count but NOT the session count — the 1000-session claim is the
@@ -58,6 +60,42 @@ std::uint64_t hash_published(const std::vector<serve::PublishedWindow>& ws) {
   return h;
 }
 
+struct Replay {
+  std::vector<serve::PublishedWindow> out;
+  serve::ServeStats stats;
+  double elapsed_s = 0.0;  // wall time of the tick loop and the drain
+};
+
+/// Replays cfg.ticks ticks through a fresh ServeCore on `pool` (null =
+/// global pool). With a VirtualClock the clock advances one interval per
+/// tick; without one, latency is read off the wall clock and ticks run
+/// back to back.
+Replay replay(const serve::ServeConfig& cfg,
+              const std::shared_ptr<impute::Imputer>& model,
+              std::size_t window_intervals, const core::PreparedData& data,
+              std::int64_t queues_per_port, util::ThreadPool* pool,
+              util::VirtualClock* clock = nullptr) {
+  serve::ServeCore core(cfg, model, window_intervals,
+                        data.dataset_config.factor,
+                        data.dataset_config.qlen_scale,
+                        data.dataset_config.count_scale, impute::CemConfig{},
+                        clock, pool);
+  serve::ReplaySource source(data.coarse, queues_per_port, cfg.sessions);
+  std::vector<impute::CoarseIntervalUpdate> updates;
+  Replay r;
+  const util::Clock& wall = util::Clock::wall();
+  const double t0 = wall.now();
+  for (std::int64_t t = 0; t < cfg.ticks; ++t) {
+    source.fill(t, updates);
+    core.tick(updates, r.out);
+    if (clock != nullptr) clock->advance(cfg.interval_ms * 1e-3);
+  }
+  core.drain(r.out);
+  r.elapsed_s = wall.now() - t0;
+  r.stats = core.stats();
+  return r;
+}
+
 /// One full virtual-clock replay on a dedicated pool; returns the hash of
 /// the published stream.
 std::uint64_t replay_hash(const serve::ServeConfig& cfg,
@@ -67,21 +105,9 @@ std::uint64_t replay_hash(const serve::ServeConfig& cfg,
                           std::int64_t queues_per_port, std::size_t lanes) {
   util::ThreadPool pool(lanes);
   util::VirtualClock clock;
-  serve::ServeCore core(cfg, model, window_intervals,
-                        data.dataset_config.factor,
-                        data.dataset_config.qlen_scale,
-                        data.dataset_config.count_scale, impute::CemConfig{},
-                        &clock, &pool);
-  serve::ReplaySource source(data.coarse, queues_per_port, cfg.sessions);
-  std::vector<impute::CoarseIntervalUpdate> updates;
-  std::vector<serve::PublishedWindow> out;
-  for (std::int64_t t = 0; t < cfg.ticks; ++t) {
-    source.fill(t, updates);
-    core.tick(updates, out);
-    clock.advance(cfg.interval_ms * 1e-3);
-  }
-  core.drain(out);
-  return hash_published(out);
+  return hash_published(replay(cfg, model, window_intervals, data,
+                               queues_per_port, &pool, &clock)
+                            .out);
 }
 
 }  // namespace
@@ -146,21 +172,17 @@ int main() {
   serve::ServeConfig load;
   load.sessions = bench::env_int("FMNET_SERVE_SESSIONS", 1000);
   load.ticks = bench::env_int("FMNET_SERVE_TICKS", fast_mode() ? 12 : 60);
-  serve::ServeCore core(load, built.imputer, window_intervals,
-                        data.dataset_config.factor,
-                        data.dataset_config.qlen_scale,
-                        data.dataset_config.count_scale);
-  serve::ReplaySource source(data.coarse, queues_per_port, load.sessions);
-  std::vector<impute::CoarseIntervalUpdate> updates;
-  std::vector<serve::PublishedWindow> out;
-  const util::Clock& clk = util::Clock::wall();
-  const double t0 = clk.now();
-  for (std::int64_t t = 0; t < load.ticks; ++t) {
-    source.fill(t, updates);
-    core.tick(updates, out);
-  }
-  core.drain(out);
-  const double elapsed = clk.now() - t0;
+  const Replay run = replay(load, built.imputer, window_intervals, data,
+                            queues_per_port, /*pool=*/nullptr);
+  const std::vector<serve::PublishedWindow>& out = run.out;
+  const double elapsed = run.elapsed_s;
+  // The same load on one lane: the within-run lane-scaling ratio. Run
+  // second, so the buffer pool warmed by the first run favours the 1-lane
+  // side and the ratio errs low.
+  util::ThreadPool one_lane(1);
+  const Replay run1 = replay(load, built.imputer, window_intervals, data,
+                             queues_per_port, &one_lane);
+  const std::size_t lanes = util::ThreadPool::global().size();
 
   std::vector<double> raw_ms;
   for (const auto& w : out) {
@@ -168,9 +190,14 @@ int main() {
       raw_ms.push_back(w.latency_seconds * 1e3);
     }
   }
-  const auto& st = core.stats();
+  const auto& st = run.stats;
   const double win_per_s =
       elapsed > 0 ? static_cast<double>(st.windows_raw) / elapsed : 0.0;
+  const double win_per_s_1 =
+      run1.elapsed_s > 0
+          ? static_cast<double>(run1.stats.windows_raw) / run1.elapsed_s
+          : 0.0;
+  const double lane_speedup = win_per_s_1 > 0 ? win_per_s / win_per_s_1 : 0.0;
   const double repair_win_per_s =
       elapsed > 0 ? static_cast<double>(st.windows_repaired) / elapsed : 0.0;
   const std::int64_t offered = st.windows_raw + st.windows_degraded;
@@ -188,6 +215,7 @@ int main() {
   reg.gauge("bench.serve.p50_ms").set(p50);
   reg.gauge("bench.serve.p99_ms").set(p99);
   reg.gauge("bench.serve.shed_rate").set(shed_rate);
+  reg.gauge("bench.serve.lane_speedup").set(lane_speedup);
 
   Table table({"metric", "value"});
   table.add_row({"sessions", std::to_string(load.sessions)});
@@ -197,7 +225,10 @@ int main() {
   table.add_row({"repaired windows", std::to_string(st.windows_repaired)});
   table.add_row({"degraded windows", std::to_string(st.windows_degraded)});
   table.add_row({"batches", std::to_string(st.batches)});
+  table.add_row({"pool lanes", std::to_string(lanes)});
   table.add_row({"raw windows/s", Table::fmt(win_per_s)});
+  table.add_row({"raw windows/s, 1 lane", Table::fmt(win_per_s_1)});
+  table.add_row({"lane speedup", Table::fmt(lane_speedup)});
   table.add_row({"repaired windows/s", Table::fmt(repair_win_per_s)});
   table.add_row({"p50 raw latency (ms)", Table::fmt(p50)});
   table.add_row({"p99 raw latency (ms)", Table::fmt(p99)});

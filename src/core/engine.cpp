@@ -312,7 +312,7 @@ impute::BuiltImputer Engine::fit_method_with_key(const Scenario& s,
       bool loaded = false;
       if (in.good()) {
         try {
-          nn::load_parameters(built.trainable->model(), in);
+          built.trainable->load(in);
           loaded = true;
         } catch (const CheckError&) {
           // Architecture drift under an unchanged key should be impossible

@@ -187,7 +187,6 @@ void AutoencoderImputer::fit(const std::vector<ImputationExample>& examples,
 
 std::vector<double> AutoencoderImputer::impute(const ImputationExample& ex) {
   FMNET_CHECK_EQ(static_cast<std::int64_t>(ex.window), config_.window);
-  net_->set_training(false);
   const auto t = static_cast<std::int64_t>(ex.window);
   const Tensor x = Tensor::from_vector(
       ex.features,
@@ -212,7 +211,6 @@ std::vector<std::vector<double>> AutoencoderImputer::impute_batch(
     if (ex.window != window) return Imputer::impute_batch(batch);
   }
   FMNET_CHECK_EQ(static_cast<std::int64_t>(window), config_.window);
-  net_->set_training(false);
   const auto b = static_cast<std::int64_t>(batch.size());
   const auto t = static_cast<std::int64_t>(window);
   const auto c = static_cast<std::int64_t>(telemetry::kNumInputChannels);

@@ -19,17 +19,61 @@ struct CemMetrics {
   obs::Counter& windows;
   obs::Counter& infeasible;
   obs::Counter& packets_moved;
+  obs::Counter& clamped;
+  obs::Counter& nonfinite;
   obs::Histogram& window_ms;
   static CemMetrics& get() {
     auto& reg = obs::Registry::global();
     static CemMetrics m{
         reg.counter("cem.windows"), reg.counter("cem.infeasible_windows"),
-        reg.counter("cem.packets_moved"),
+        reg.counter("cem.packets_moved"), reg.counter("cem.clamped"),
+        reg.counter("cem.nonfinite"),
         reg.histogram("cem.window_ms",
                       {0.1, 0.5, 1, 5, 10, 50, 100, 500, 1000, 5000})};
     return m;
   }
 };
+
+/// Largest magnitude a raw model value keeps as a repair reference: 2^53,
+/// beyond which doubles are no longer dense integers and llround can
+/// overflow int64 (an unspecified result, INT64_MIN on x86).
+constexpr double kMaxReference = 9007199254740992.0;
+
+bool in_reference_range(double v) { return std::fabs(v) <= kMaxReference; }
+
+/// The reference value CEM repairs towards: NaN masks to 0, and values
+/// beyond ±2^53 (±inf included) saturate to ±2^53. Identity in range.
+double masked_reference(double v) {
+  if (std::isnan(v)) return 0.0;
+  return std::clamp(v, -kMaxReference, kMaxReference);
+}
+
+/// Returns `imputed` itself when every value is in range, so in-range
+/// windows take exactly the unmasked path. Otherwise fills `masked` with
+/// masked_reference() of each value, counts cem.nonfinite (NaN) and
+/// cem.clamped (saturated) values, and returns `masked`.
+const std::vector<double>& mask_references(const std::vector<double>& imputed,
+                                           std::vector<double>& masked,
+                                           CemMetrics& metrics) {
+  if (std::all_of(imputed.begin(), imputed.end(), in_reference_range)) {
+    return imputed;
+  }
+  masked.resize(imputed.size());
+  std::int64_t nonfinite = 0;
+  std::int64_t clamped = 0;
+  for (std::size_t t = 0; t < imputed.size(); ++t) {
+    const double v = imputed[t];
+    if (std::isnan(v)) {
+      ++nonfinite;
+    } else if (!in_reference_range(v)) {
+      ++clamped;
+    }
+    masked[t] = masked_reference(v);
+  }
+  metrics.nonfinite.add(nonfinite);
+  metrics.clamped.add(clamped);
+  return masked;
+}
 }  // namespace
 
 CemConstraints to_packet_constraints(const nn::ExampleConstraints& c,
@@ -248,15 +292,30 @@ ConstraintEnforcementModule::correct_interval_smt(
 }
 
 PortCemResult ConstraintEnforcementModule::correct_port(
-    const std::vector<std::vector<double>>& imputed,
+    const std::vector<std::vector<double>>& imputed_raw,
     const std::vector<CemConstraints>& per_queue,
     util::ThreadPool* pool) const {
   obs::ScopedSpan span("correct_port");
   CemMetrics& metrics = CemMetrics::get();
   fmnet::Stopwatch clock;
-  FMNET_CHECK(!imputed.empty(), "no queues");
-  FMNET_CHECK_EQ(imputed.size(), per_queue.size());
-  const std::size_t nq = imputed.size();
+  FMNET_CHECK(!imputed_raw.empty(), "no queues");
+  FMNET_CHECK_EQ(imputed_raw.size(), per_queue.size());
+  const std::size_t nq = imputed_raw.size();
+  // Masked copies only when some queue holds an out-of-range reference;
+  // otherwise every queue takes exactly the unmasked path.
+  const bool in_range = std::all_of(
+      imputed_raw.begin(), imputed_raw.end(), [](const auto& series) {
+        return std::all_of(series.begin(), series.end(), in_reference_range);
+      });
+  std::vector<std::vector<double>> masked;
+  if (!in_range) {
+    std::vector<double> scratch;
+    for (const std::vector<double>& series : imputed_raw) {
+      masked.push_back(mask_references(series, scratch, metrics));
+    }
+  }
+  const std::vector<std::vector<double>>& imputed =
+      in_range ? imputed_raw : masked;
   const std::int64_t factor = per_queue.front().coarse_factor;
   const auto t_len = static_cast<std::int64_t>(imputed.front().size());
   FMNET_CHECK_GT(factor, 0);
@@ -496,11 +555,14 @@ PortCemResult ConstraintEnforcementModule::correct_port(
 }
 
 CemResult ConstraintEnforcementModule::correct(
-    const std::vector<double>& imputed, const CemConstraints& c,
+    const std::vector<double>& imputed_raw, const CemConstraints& c,
     util::ThreadPool* pool) const {
   obs::ScopedSpan span("correct");
   CemMetrics& metrics = CemMetrics::get();
   fmnet::Stopwatch clock;
+  std::vector<double> masked;
+  const std::vector<double>& imputed =
+      mask_references(imputed_raw, masked, metrics);
   const std::int64_t factor = c.coarse_factor;
   FMNET_CHECK_GT(factor, 0);
   const auto t_len = static_cast<std::int64_t>(imputed.size());
@@ -583,12 +645,15 @@ CemResult ConstraintEnforcementModule::correct(
 }
 
 CemResult ConstraintEnforcementModule::correct_window(
-    const std::vector<double>& imputed, std::int64_t m_max,
+    const std::vector<double>& imputed_raw, std::int64_t m_max,
     std::int64_t m_out, const std::vector<std::int64_t>& sample_at,
     const std::vector<std::int64_t>* warm_values) const {
   CemMetrics& metrics = CemMetrics::get();
   const bool timed = obs::enabled();
   fmnet::Stopwatch clock;
+  std::vector<double> masked;
+  const std::vector<double>& imputed =
+      mask_references(imputed_raw, masked, metrics);
   const auto factor = static_cast<std::int64_t>(sample_at.size());
   FMNET_CHECK_GT(factor, 0);
   FMNET_CHECK_EQ(static_cast<std::int64_t>(imputed.size()), factor);
@@ -643,7 +708,8 @@ CemResult StreamingCemRepair::repair(
           src < factor
               ? prev_[static_cast<std::size_t>(src)]
               : std::max<std::int64_t>(
-                    0, std::llround(imputed[static_cast<std::size_t>(t)]));
+                    0, std::llround(masked_reference(
+                           imputed[static_cast<std::size_t>(t)])));
     }
   }
   const CemResult out = cem_.correct_window(imputed, m_max, m_out, sample_at,

@@ -27,6 +27,12 @@
 //    as a branch-and-bound minimisation (how the paper uses Z3).
 //
 // Property tests assert the two engines produce equal objective values.
+//
+// Every entry point rounds the raw model output to an integer reference.
+// Values rounding cannot represent are masked first, never silently
+// rewritten: NaN becomes 0 and is counted in cem.nonfinite; values beyond
+// ±2^53 (±inf included) saturate to ±2^53 and are counted in cem.clamped.
+// In-range windows take exactly the unmasked path.
 #pragma once
 
 #include <cstdint>

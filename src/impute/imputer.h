@@ -8,6 +8,7 @@
 // truth); evaluation code compares against the target afterwards.
 #pragma once
 
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,14 @@ class Imputer {
 
   /// Imputes the fine-grained queue length (in packets, length
   /// ex.window) from the example's coarse features/constraints.
+  ///
+  /// Concurrency contract: once the imputer is fitted or its checkpoint
+  /// loaded, impute() may be called concurrently from any number of
+  /// threads, and each call returns exactly what a serial call would.
+  /// Implementations therefore write no shared state here: eval mode and
+  /// inference snapshots are settled where weights change (end of fit,
+  /// CheckpointableImputer::load, inference-option setters), and any
+  /// accounting is atomic. fit() and those setters must not race impute().
   virtual std::vector<double> impute(const ImputationExample& ex) = 0;
 
   /// Imputes many independent windows at once; out[i] corresponds to
@@ -67,6 +76,16 @@ class Imputer {
 class CheckpointableImputer : public Imputer {
  public:
   virtual nn::Module& model() = 0;
+
+  /// Loads weights saved by nn::save_parameters(model(), ...) and settles
+  /// the inference state derived from them, after which impute() is
+  /// concurrency-safe. Throws CheckError on an architecture mismatch.
+  void load(std::istream& in);
+
+ protected:
+  /// Re-derives inference-only state (e.g. an int8 weight snapshot) from
+  /// the current weights; called by load().
+  virtual void weights_loaded() {}
 };
 
 }  // namespace fmnet::impute

@@ -12,6 +12,12 @@ KnowledgeAugmentedImputer::KnowledgeAugmentedImputer(
   FMNET_CHECK(base_ != nullptr, "null base imputer");
 }
 
+void KnowledgeAugmentedImputer::account(const CemResult& r) {
+  total_cem_seconds_.fetch_add(r.seconds, std::memory_order_relaxed);
+  cem_calls_.fetch_add(1, std::memory_order_relaxed);
+  if (!r.feasible) infeasible_.fetch_add(1, std::memory_order_relaxed);
+}
+
 std::vector<double> KnowledgeAugmentedImputer::impute(
     const ImputationExample& ex) {
   obs::ScopedSpan span("impute");
@@ -19,9 +25,7 @@ std::vector<double> KnowledgeAugmentedImputer::impute(
   const CemConstraints c =
       to_packet_constraints(ex.constraints, ex.qlen_scale);
   const CemResult r = cem_.correct(raw, c, pool_);
-  total_cem_seconds_ += r.seconds;
-  ++cem_calls_;
-  if (!r.feasible) ++infeasible_;
+  account(r);
   return r.corrected;
 }
 
@@ -33,9 +37,7 @@ std::vector<std::vector<double>> KnowledgeAugmentedImputer::impute_batch(
     const CemConstraints c =
         to_packet_constraints(batch[i].constraints, batch[i].qlen_scale);
     const CemResult r = cem_.correct(out[i], c, pool_);
-    total_cem_seconds_ += r.seconds;
-    ++cem_calls_;
-    if (!r.feasible) ++infeasible_;
+    account(r);
     out[i] = r.corrected;
   }
   return out;

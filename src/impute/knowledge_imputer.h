@@ -3,6 +3,7 @@
 // Table 1.
 #pragma once
 
+#include <atomic>
 #include <memory>
 
 #include "impute/cem.h"
@@ -36,20 +37,29 @@ class KnowledgeAugmentedImputer : public Imputer {
       const std::vector<ImputationExample>& batch) override;
 
   /// Wall-clock seconds spent inside CEM across all impute() calls, and
-  /// the call count — used by bench/cem_runtime.
-  double total_cem_seconds() const { return total_cem_seconds_; }
-  std::int64_t cem_calls() const { return cem_calls_; }
+  /// the call count — used by bench/cem_runtime. Relaxed atomics, so
+  /// concurrent impute() calls account without a race.
+  double total_cem_seconds() const {
+    return total_cem_seconds_.load(std::memory_order_relaxed);
+  }
+  std::int64_t cem_calls() const {
+    return cem_calls_.load(std::memory_order_relaxed);
+  }
   /// Number of windows whose constraint system was infeasible (should stay
   /// zero on simulator-produced measurements).
-  std::int64_t infeasible_windows() const { return infeasible_; }
+  std::int64_t infeasible_windows() const {
+    return infeasible_.load(std::memory_order_relaxed);
+  }
 
  private:
+  void account(const CemResult& r);
+
   std::shared_ptr<Imputer> base_;
   ConstraintEnforcementModule cem_;
   util::ThreadPool* pool_ = nullptr;
-  double total_cem_seconds_ = 0.0;
-  std::int64_t cem_calls_ = 0;
-  std::int64_t infeasible_ = 0;
+  std::atomic<double> total_cem_seconds_{0.0};
+  std::atomic<std::int64_t> cem_calls_{0};
+  std::atomic<std::int64_t> infeasible_{0};
 };
 
 }  // namespace fmnet::impute

@@ -19,6 +19,9 @@ PhysicsRateImputer::PhysicsRateImputer(RateImputerConfig config)
   FMNET_CHECK_GT(config_.max_step_delta, 0.0f);
   rate_net_ =
       std::make_unique<nn::ImputationTransformer>(config_.model, rng_);
+  // Inference state from the start, as train() leaves it: impute() never
+  // switches modes, so concurrent calls write no shared state.
+  rate_net_->set_training(false);
 }
 
 Tensor PhysicsRateImputer::derive_queues(const Tensor& x,
@@ -94,7 +97,6 @@ void PhysicsRateImputer::train(
 }
 
 std::vector<double> PhysicsRateImputer::impute(const ImputationExample& ex) {
-  rate_net_->set_training(false);
   const auto t = static_cast<std::int64_t>(ex.window);
   const Tensor x = Tensor::from_vector(
       ex.features,

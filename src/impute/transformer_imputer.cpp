@@ -26,6 +26,9 @@ TransformerImputer::TransformerImputer(nn::TransformerConfig model_config,
   FMNET_CHECK_EQ(model_config_.input_channels,
                  static_cast<std::int64_t>(telemetry::kNumInputChannels));
   model_ = std::make_unique<nn::ImputationTransformer>(model_config_, rng_);
+  // Checkpoint contract: warm engine runs load weights without train(), so
+  // the model must already be in the inference state train() leaves.
+  apply_infer_precision();
 }
 
 Tensor TransformerImputer::batch_features(
@@ -249,12 +252,13 @@ TrainStats TransformerImputer::train(
   }
   stats.final_mean_phi = kal_state.mean_phi();
   stats.final_mean_psi = kal_state.mean_psi();
-  model_->set_training(false);
+  apply_infer_precision();
   return stats;
 }
 
 void TransformerImputer::set_infer_config(const InferConfig& infer_config) {
   infer_config_ = infer_config;
+  apply_infer_precision();
 }
 
 void TransformerImputer::apply_infer_precision() {
@@ -262,14 +266,13 @@ void TransformerImputer::apply_infer_precision() {
   const nn::Precision want = infer_config_.quantize_int8
                                  ? nn::Precision::kInt8
                                  : nn::Precision::kFp32;
-  // set_precision(kInt8) re-snapshots the weights, so only call it on an
-  // actual transition (training resets the model to kFp32, which makes
-  // this re-trigger after every train()).
-  if (model_->precision() != want) model_->set_precision(want);
+  // Every caller runs where weights may have changed (construction, end of
+  // train(), load()) or the option did, so always re-snapshot: an int8
+  // snapshot must never outlive the weights it was taken from.
+  model_->set_precision(want);
 }
 
 std::vector<double> TransformerImputer::impute(const ImputationExample& ex) {
-  apply_infer_precision();
   const auto t = static_cast<std::int64_t>(ex.window);
   const Tensor x = Tensor::from_vector(
       ex.features,
@@ -299,7 +302,6 @@ std::vector<std::vector<double>> TransformerImputer::impute_batch(
     // Mixed window lengths cannot stack; fall back to the loop.
     if (ex.window != window) return Imputer::impute_batch(batch);
   }
-  apply_infer_precision();
   const auto b = static_cast<std::int64_t>(batch.size());
   const auto t = static_cast<std::int64_t>(window);
   const auto c = static_cast<std::int64_t>(telemetry::kNumInputChannels);

@@ -96,14 +96,17 @@ class TransformerImputer : public CheckpointableImputer {
       const std::vector<ImputationExample>& batch) override;
 
   /// Swaps the inference options on a live imputer. Precision is applied
-  /// lazily on the next impute()/impute_batch() call, so the int8 snapshot
-  /// always reflects the final trained weights (set_training(true) drops
-  /// any previous snapshot — see nn::Module::set_precision).
+  /// here and again wherever weights change (end of train(), load()), so
+  /// the int8 snapshot always reflects the current weights and impute()
+  /// never writes model state. Must not race impute().
   void set_infer_config(const InferConfig& infer_config);
   const InferConfig& infer_config() const { return infer_config_; }
 
   nn::ImputationTransformer& model() override { return *model_; }
   const TrainConfig& train_config() const { return train_config_; }
+
+ protected:
+  void weights_loaded() override { apply_infer_precision(); }
 
  private:
   /// Eval mode + precision matching infer_config_.

@@ -134,65 +134,59 @@ void ServeCore::shed_over_budget(std::vector<PublishedWindow>& out) {
   }
 }
 
-void ServeCore::run_batch(std::size_t count,
-                          std::vector<PublishedWindow>& out) {
-  FMNET_CHECK_GE(ready_.size(), count);
-  std::vector<ReadyWindow> items;
-  items.reserve(count);
-  std::vector<impute::ImputationExample> batch;
-  batch.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    items.push_back(std::move(ready_.front()));
-    ready_.pop_front();
-    batch.push_back(std::move(items.back().ex));
+void ServeCore::flush_ready(bool force, std::vector<PublishedWindow>& out) {
+  // A batch is the flush and accounting unit: every full batch of
+  // max_batch flushes, and the partial remainder flushes when forced or
+  // once its oldest window has waited max_delay_ticks.
+  const auto max_batch = static_cast<std::size_t>(config_.max_batch);
+  std::int64_t batches = static_cast<std::int64_t>(ready_.size() / max_batch);
+  std::size_t count = static_cast<std::size_t>(batches) * max_batch;
+  if (count < ready_.size() &&
+      (force || tick_ - ready_[count].tick >= config_.max_delay_ticks)) {
+    count = ready_.size();
+    ++batches;
   }
-  const std::vector<std::vector<double>> full =
-      model_->impute_batch(batch);
-  FMNET_CHECK_EQ(full.size(), count);
-  ++stats_.batches;
-  obs_batches_.add(1);
+  if (count == 0) return;
+  std::vector<ReadyWindow> items(
+      std::make_move_iterator(ready_.begin()),
+      std::make_move_iterator(ready_.begin() +
+                              static_cast<std::ptrdiff_t>(count)));
+  ready_.erase(ready_.begin(),
+               ready_.begin() + static_cast<std::ptrdiff_t>(count));
+  stats_.batches += batches;
+  obs_batches_.add(batches);
+
+  // Inference fans out one task per window (Imputer::impute is safe to
+  // call concurrently); each task writes only its own slot, and results
+  // publish below in ready order, so the stream is lane-count invariant.
+  struct Inferred {
+    std::vector<double> fine;  // newest interval, packets
+    RepairJob job;             // filled when repair is on
+  };
+  std::vector<Inferred> inferred(count);
+  util::ThreadPool::resolve(pool_).parallel_for(
+      0, static_cast<std::int64_t>(count), [&](std::int64_t i) {
+        const ReadyWindow& w = items[static_cast<std::size_t>(i)];
+        Inferred& r = inferred[static_cast<std::size_t>(i)];
+        const std::vector<double> full = model_->impute(w.ex);
+        FMNET_CHECK_EQ(full.size(), w.ex.window);
+        r.fine = newest_interval(full, factor_);
+        if (config_.repair) r.job = make_repair_job(w, r.fine);
+      });
 
   const double now = util::Clock::resolve(clock_).now();
   for (std::size_t i = 0; i < count; ++i) {
-    FMNET_CHECK_EQ(full[i].size(), batch[i].window);
     PublishedWindow p;
     p.session = items[i].session;
     p.tick = items[i].tick;
     p.kind = WindowKind::kRaw;
-    p.fine = newest_interval(full[i], factor_);
+    p.fine = std::move(inferred[i].fine);
     p.latency_seconds = now - items[i].arrival;
     ++stats_.windows_raw;
     obs_raw_.add(1);
     obs_latency_raw_.record(p.latency_seconds * 1e3);
-    ++sessions_[static_cast<std::size_t>(items[i].session)]
-          .windows_published;
-
-    if (config_.repair) {
-      // Async repair job for the newest interval: constraints in packet
-      // units, sample positions relative to the interval.
-      const impute::CemConstraints c = impute::to_packet_constraints(
-          batch[i].constraints, qlen_scale_);
-      const auto intervals =
-          static_cast<std::int64_t>(c.window_max.size());
-      FMNET_CHECK_GT(intervals, 0);
-      RepairJob job;
-      job.session = items[i].session;
-      job.tick = items[i].tick;
-      job.arrival = items[i].arrival;
-      job.raw = p.fine;
-      job.m_max = c.window_max.back();
-      job.m_out = c.port_sent.back();
-      job.sample_at.assign(factor_, -1);
-      const std::int64_t begin =
-          (intervals - 1) * static_cast<std::int64_t>(factor_);
-      for (std::size_t k = 0; k < c.sample_idx.size(); ++k) {
-        const std::int64_t rel = c.sample_idx[k] - begin;
-        if (rel >= 0 && rel < static_cast<std::int64_t>(factor_)) {
-          job.sample_at[static_cast<std::size_t>(rel)] = c.sample_val[k];
-        }
-      }
-      repairs_.push_back(std::move(job));
-    }
+    ++sessions_[static_cast<std::size_t>(p.session)].windows_published;
+    if (config_.repair) repairs_.push_back(std::move(inferred[i].job));
     out.push_back(std::move(p));
   }
 
@@ -204,16 +198,31 @@ void ServeCore::run_batch(std::size_t count,
   }
 }
 
-void ServeCore::flush_batches(bool force,
-                              std::vector<PublishedWindow>& out) {
-  while (static_cast<std::int64_t>(ready_.size()) >= config_.max_batch) {
-    run_batch(static_cast<std::size_t>(config_.max_batch), out);
+ServeCore::RepairJob ServeCore::make_repair_job(
+    const ReadyWindow& w, const std::vector<double>& fine) const {
+  // Constraints in packet units, sample positions relative to the newest
+  // interval.
+  const impute::CemConstraints c =
+      impute::to_packet_constraints(w.ex.constraints, qlen_scale_);
+  const auto intervals = static_cast<std::int64_t>(c.window_max.size());
+  FMNET_CHECK_GT(intervals, 0);
+  RepairJob job;
+  job.session = w.session;
+  job.tick = w.tick;
+  job.arrival = w.arrival;
+  job.raw = fine;
+  job.m_max = c.window_max.back();
+  job.m_out = c.port_sent.back();
+  job.sample_at.assign(factor_, -1);
+  const std::int64_t begin =
+      (intervals - 1) * static_cast<std::int64_t>(factor_);
+  for (std::size_t k = 0; k < c.sample_idx.size(); ++k) {
+    const std::int64_t rel = c.sample_idx[k] - begin;
+    if (rel >= 0 && rel < static_cast<std::int64_t>(factor_)) {
+      job.sample_at[static_cast<std::size_t>(rel)] = c.sample_val[k];
+    }
   }
-  if (ready_.empty()) return;
-  const std::int64_t age = tick_ - ready_.front().tick;
-  if (force || age >= config_.max_delay_ticks) {
-    run_batch(ready_.size(), out);
-  }
+  return job;
 }
 
 void ServeCore::run_repairs(std::vector<PublishedWindow>& out) {
@@ -221,19 +230,37 @@ void ServeCore::run_repairs(std::vector<PublishedWindow>& out) {
   std::vector<RepairJob> jobs(std::make_move_iterator(repairs_.begin()),
                               std::make_move_iterator(repairs_.end()));
   repairs_.clear();
-  // One job per session at most (jobs are enqueued once per published
-  // window and the queue is fully drained every tick), so parallel
-  // execution touches disjoint Session::repair state; parallel_map
-  // collects results in job order for a deterministic publish sequence.
-  std::vector<impute::CemResult> results =
-      util::parallel_map<impute::CemResult>(
-          util::ThreadPool::resolve(pool_),
-          static_cast<std::int64_t>(jobs.size()), [&](std::int64_t j) {
-            RepairJob& job = jobs[static_cast<std::size_t>(j)];
-            return sessions_[static_cast<std::size_t>(job.session)]
-                .repair.repair(job.raw, job.m_max, job.m_out,
-                               job.sample_at);
-          });
+  // A session's jobs share its StreamingCemRepair warm-start state, and a
+  // flush of windows held back over max-delay ticks queues several jobs
+  // for one session. So jobs are grouped by session (stable, job order
+  // kept inside a group): groups run concurrently on disjoint
+  // Session::repair state, each group's jobs serially in order. Results
+  // land in job-indexed slots for a deterministic publish sequence.
+  std::vector<std::size_t> order(jobs.size());
+  for (std::size_t j = 0; j < order.size(); ++j) order[j] = j;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return jobs[a].session < jobs[b].session;
+                   });
+  std::vector<std::size_t> group_begin;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    if (k == 0 || jobs[order[k]].session != jobs[order[k - 1]].session) {
+      group_begin.push_back(k);
+    }
+  }
+  group_begin.push_back(order.size());
+  std::vector<impute::CemResult> results(jobs.size());
+  util::ThreadPool::resolve(pool_).parallel_for(
+      0, static_cast<std::int64_t>(group_begin.size()) - 1,
+      [&](std::int64_t g) {
+        const auto gi = static_cast<std::size_t>(g);
+        for (std::size_t k = group_begin[gi]; k < group_begin[gi + 1]; ++k) {
+          const RepairJob& job = jobs[order[k]];
+          results[order[k]] =
+              sessions_[static_cast<std::size_t>(job.session)].repair.repair(
+                  job.raw, job.m_max, job.m_out, job.sample_at);
+        }
+      });
   const double now = util::Clock::resolve(clock_).now();
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     PublishedWindow p;
@@ -258,12 +285,12 @@ void ServeCore::tick(
   ingest(updates);
   obs_queue_depth_.set_max(static_cast<double>(ready_.size()));
   shed_over_budget(out);
-  flush_batches(/*force=*/false, out);
+  flush_ready(/*force=*/false, out);
   ++tick_;
 }
 
 void ServeCore::drain(std::vector<PublishedWindow>& out) {
-  flush_batches(/*force=*/true, out);
+  flush_ready(/*force=*/true, out);
   run_repairs(out);
 }
 

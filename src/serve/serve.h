@@ -3,10 +3,13 @@
 // into reusable pieces (impute::WindowBuffer + serve::Session) and adding
 // the three serving layers the batch path never needed:
 //
-//  * batching — ready windows from different sessions are coalesced into
-//    single Imputer::impute_batch calls (the PR-7 batched GEMM path) under
-//    a max-batch/max-delay policy; outputs are bit-identical to imputing
-//    each session alone (fp32 path).
+//  * batching + parallel inference — ready windows from different
+//    sessions are flushed in batches under a max-batch/max-delay policy; a
+//    batch is only the flush and accounting unit. Inference fans out over
+//    the pool, one Imputer::impute() task per flushed window (impute() is
+//    concurrency-safe, see impute/imputer.h), and results publish serially
+//    in ready order, so outputs are bit-identical to imputing each session
+//    alone.
 //  * async repair — CEM repair runs *behind* the prediction path: raw
 //    predictions publish immediately (they carry the latency SLO), repair
 //    jobs execute on the pool one tick later and publish a corrected
@@ -20,8 +23,9 @@
 // are a pure function of (config, model weights, update schedule, clock
 // readings) — never of lane count. Ingest shards are a pure function of
 // the session count; cross-lane hand-off goes through an MPSC queue whose
-// drained batch is sorted by session id; batches are formed in that sorted
-// order; repair jobs execute via deterministic parallel_map. Under a
+// drained batch is sorted by session id; windows flush and publish in that
+// sorted order whichever lane imputed them; repair jobs run grouped by
+// session (one session's jobs in order) and publish in job order. Under a
 // VirtualClock the latencies themselves are deterministic too.
 #pragma once
 
@@ -42,7 +46,7 @@ namespace fmnet::serve {
 
 /// Which path produced a published window.
 enum class WindowKind : std::uint8_t {
-  kRaw,       // model prediction straight off the batched path
+  kRaw,       // model prediction straight off the inference path
   kRepaired,  // async CEM repair of an earlier raw publication
   kDegraded,  // shed from the ready-queue; linear-interpolation fallback
 };
@@ -69,7 +73,7 @@ struct ServeStats {
   std::int64_t windows_degraded = 0;
   std::int64_t shed_queue = 0;   // ready windows shed to the fallback
   std::int64_t shed_repair = 0;  // repair jobs dropped over budget
-  std::int64_t batches = 0;      // impute_batch calls issued
+  std::int64_t batches = 0;      // batches flushed (max-batch units)
 };
 
 class ServeCore {
@@ -87,8 +91,8 @@ class ServeCore {
   /// Advances the server by one tick: executes repair jobs queued on
   /// earlier ticks, ingests one coarse interval per session
   /// (updates[i] -> session i; size must equal sessions), applies
-  /// admission control, and publishes batched raw predictions. Published
-  /// windows are appended to `out`.
+  /// admission control, and publishes the raw predictions of every batch
+  /// due to flush. Published windows are appended to `out`.
   void tick(const std::vector<impute::CoarseIntervalUpdate>& updates,
             std::vector<PublishedWindow>& out);
 
@@ -126,8 +130,11 @@ class ServeCore {
 
   void ingest(const std::vector<impute::CoarseIntervalUpdate>& updates);
   void shed_over_budget(std::vector<PublishedWindow>& out);
-  void flush_batches(bool force, std::vector<PublishedWindow>& out);
-  void run_batch(std::size_t count, std::vector<PublishedWindow>& out);
+  /// Pops every window due to flush, imputes them concurrently and
+  /// publishes them in ready order.
+  void flush_ready(bool force, std::vector<PublishedWindow>& out);
+  RepairJob make_repair_job(const ReadyWindow& w,
+                            const std::vector<double>& fine) const;
   void run_repairs(std::vector<PublishedWindow>& out);
   void publish_degraded(const ReadyWindow& w,
                         std::vector<PublishedWindow>& out);

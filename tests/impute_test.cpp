@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "impute/cem.h"
 #include "impute/fm_model.h"
@@ -12,6 +14,7 @@
 #include "impute/linear_interp.h"
 #include "impute/transformer_imputer.h"
 #include "nn/kal.h"
+#include "obs/metrics.h"
 #include "smt/solve_cache.h"
 #include "telemetry/dataset.h"
 #include "telemetry/monitors.h"
@@ -218,6 +221,79 @@ TEST(Cem, NegativeInputsClampToZero) {
   // The objective is measured against the *rounded* raw input: clamping
   // round(-2) = -2 up to 0 costs 2; round(-0.4) = 0 costs nothing.
   EXPECT_EQ(r.objective, 2);
+}
+
+TEST(Cem, OutOfRangeReferencesSaturateOrMask) {
+  // Regression: llround of a raw value beyond int64 is unspecified
+  // (INT64_MIN on x86), so +1e30 and +inf used to repair to 0 with
+  // feasible=1, and NaN was repaired silently. Values beyond ±2^53
+  // saturate to ±2^53 (cem.clamped); NaN masks to 0 (cem.nonfinite).
+  constexpr double kTwo53 = 9007199254740992.0;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Case {
+    double raw;
+    double repaired;
+    std::int64_t step_cost;  // |repaired - saturated reference|
+    const char* counter;
+  };
+  const Case cases[] = {
+      {1e30, 5.0, static_cast<std::int64_t>(kTwo53) - 5, "cem.clamped"},
+      {kInf, 5.0, static_cast<std::int64_t>(kTwo53) - 5, "cem.clamped"},
+      {-kInf, 0.0, static_cast<std::int64_t>(kTwo53), "cem.clamped"},
+      {std::nan(""), 0.0, 0, "cem.nonfinite"},
+      {7.0, 5.0, 2, nullptr},  // in range: the unmasked path, uncounted
+  };
+  auto& reg = obs::Registry::global();
+  CemConfig smt;
+  smt.engine = CemEngine::kSmtBranchAndBound;
+  for (const CemConfig& config : {CemConfig{}, smt}) {
+    const ConstraintEnforcementModule cem(config);
+    for (const Case& k : cases) {
+      SCOPED_TRACE(::testing::Message()
+                   << "raw " << k.raw << ", engine "
+                   << static_cast<int>(config.engine));
+      // The repro: 10 steps, m_max = 5, m_out = 10, one sample of 3 at
+      // step 0, the raw value at step 4.
+      std::vector<double> imputed(10, 2.0);
+      imputed[4] = k.raw;
+      std::vector<std::int64_t> sample_at(10, -1);
+      sample_at[0] = 3;
+      const std::int64_t clamped0 = reg.counter("cem.clamped").value();
+      const std::int64_t nonfinite0 = reg.counter("cem.nonfinite").value();
+      const CemResult r = cem.correct_window(imputed, 5, 10, sample_at);
+      ASSERT_TRUE(r.feasible);
+      EXPECT_DOUBLE_EQ(r.corrected[0], 3.0);
+      EXPECT_DOUBLE_EQ(r.corrected[4], k.repaired);
+      for (const std::size_t t : {1, 2, 3, 5, 6, 7, 8, 9}) {
+        EXPECT_DOUBLE_EQ(r.corrected[t], 2.0) << "t=" << t;
+      }
+      EXPECT_EQ(r.objective, k.step_cost);
+      const auto counted = [&](const char* name) -> std::int64_t {
+        return k.counter != nullptr && std::string(k.counter) == name ? 1
+                                                                      : 0;
+      };
+      EXPECT_EQ(reg.counter("cem.clamped").value() - clamped0,
+                counted("cem.clamped"));
+      EXPECT_EQ(reg.counter("cem.nonfinite").value() - nonfinite0,
+                counted("cem.nonfinite"));
+
+      // The whole-series entry point masks the same way.
+      CemConstraints c = toy_cem(10);
+      c.sample_idx = {0};
+      c.sample_val = {3};
+      c.window_max = {5};
+      c.port_sent = {10};
+      const CemResult whole = cem.correct(imputed, c);
+      ASSERT_TRUE(whole.feasible);
+      EXPECT_EQ(whole.corrected, r.corrected);
+      EXPECT_EQ(whole.objective, r.objective);
+      // And so does the port-level joint correction of a single queue.
+      const PortCemResult port = cem.correct_port({imputed}, {c});
+      ASSERT_TRUE(port.feasible);
+      EXPECT_EQ(port.corrected[0], r.corrected);
+      EXPECT_EQ(port.objective, r.objective);
+    }
+  }
 }
 
 TEST(Cem, MultiWindowIndependence) {

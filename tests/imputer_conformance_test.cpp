@@ -4,6 +4,8 @@
 //
 //   * training is bit-identical at 1 vs 8 pool lanes;
 //   * impute_batch equals the per-window impute loop bit-for-bit;
+//   * impute() called concurrently from 8 pool lanes equals the serial
+//     loop bit-for-bit, bare and CEM-wrapped (TSan runs this in CI);
 //   * the streaming shim (WindowBuffer + StreamingImputer) equals offline
 //     imputation of the same trailing window;
 //   * checkpointable methods round-trip through nn/serialize exactly;
@@ -14,6 +16,7 @@
 // free — the suite enumerates Registry::known_methods() at runtime.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <filesystem>
@@ -175,6 +178,32 @@ TEST_P(ImputerConformance, BatchMatchesPerWindowLoop) {
   }
 }
 
+TEST_P(ImputerConformance, ConcurrentImputeMatchesSerialLoop) {
+  // The serving core fans inference out one impute() task per window over
+  // the pool, so a fitted imputer must be callable from many lanes at once
+  // and still answer each window exactly as a serial call does.
+  const auto& test = split().test;
+  ASSERT_GE(test.size(), 4u);
+  const auto n = static_cast<std::int64_t>(std::min<std::size_t>(
+      test.size(), 16));
+  for (const auto& imputer :
+       {fitted(GetParam(), 1).imputer, cem_corrected(GetParam())}) {
+    std::vector<std::vector<double>> serial;
+    for (std::int64_t i = 0; i < n; ++i) {
+      serial.push_back(imputer->impute(test[static_cast<std::size_t>(i)]));
+    }
+    const auto concurrent = util::parallel_map<std::vector<double>>(
+        pool_with(8), n, [&](std::int64_t i) {
+          return imputer->impute(test[static_cast<std::size_t>(i)]);
+        });
+    for (std::int64_t i = 0; i < n; ++i) {
+      EXPECT_EQ(concurrent[static_cast<std::size_t>(i)],
+                serial[static_cast<std::size_t>(i)])
+          << "method " << imputer->name() << ", test window " << i;
+    }
+  }
+}
+
 TEST_P(ImputerConformance, StreamingMatchesOffline) {
   // Feed the same coarse intervals into the streaming shim and into a
   // shadow WindowBuffer; once ready, the streamed newest interval must be
@@ -214,7 +243,7 @@ TEST_P(ImputerConformance, CheckpointRoundTripBitExact) {
   impute::BuiltImputer fresh =
       impute::Registry::build(GetParam(), tiny_params(&pool_with(1)));
   ASSERT_NE(fresh.trainable, nullptr);
-  nn::load_parameters(fresh.trainable->model(), buf);
+  fresh.trainable->load(buf);
   const auto& test = split().test;
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(built.imputer->impute(test[i]), fresh.imputer->impute(test[i]))

@@ -76,16 +76,34 @@ serve::ServeConfig small_config(std::int64_t sessions) {
   return cfg;
 }
 
+/// An untrained but deterministically initialised compact transformer
+/// sized for the test window, so serving exercises concurrent inference
+/// through a real model rather than only the analytical baseline.
+std::shared_ptr<impute::Imputer> tiny_transformer() {
+  impute::MethodParams p;
+  p.model.input_channels =
+      static_cast<std::int64_t>(telemetry::kNumInputChannels);
+  p.model.d_model = 8;
+  p.model.num_heads = 2;
+  p.model.num_layers = 1;
+  p.model.d_ff = 16;
+  p.model.max_seq_len =
+      static_cast<std::int64_t>(kWindowIntervals * kFactor);
+  p.train.seed = 3;
+  return impute::Registry::create("transformer", p);
+}
+
 /// Runs a full replay on a dedicated pool and returns every published
-/// window in publication order.
+/// window in publication order (`model` null = linear interpolation).
 std::vector<serve::PublishedWindow> run_replay(
     const serve::ServeConfig& cfg, const telemetry::CoarseTelemetry& ct,
-    std::size_t lanes) {
+    std::size_t lanes, std::shared_ptr<impute::Imputer> model = nullptr) {
   util::ThreadPool pool(lanes);
   util::VirtualClock clock;
-  serve::ServeCore core(cfg, impute::Registry::create("linear", {}),
-                        kWindowIntervals, kFactor, kQlenScale, kCountScale,
-                        impute::CemConfig{}, &clock, &pool);
+  if (model == nullptr) model = impute::Registry::create("linear", {});
+  serve::ServeCore core(cfg, std::move(model), kWindowIntervals, kFactor,
+                        kQlenScale, kCountScale, impute::CemConfig{}, &clock,
+                        &pool);
   serve::ReplaySource source(ct, /*queues_per_port=*/1, cfg.sessions);
   std::vector<impute::CoarseIntervalUpdate> updates;
   std::vector<serve::PublishedWindow> out;
@@ -113,22 +131,40 @@ void expect_identical(const std::vector<serve::PublishedWindow>& a,
 TEST(ServeCore, PublishedWindowsBitIdenticalAcrossLaneCounts) {
   // The tentpole determinism contract: sessions x ticks replay under a
   // virtual clock publishes the exact same sequence at 1 and at 8 lanes —
-  // ingest sharding, MPSC hand-off and parallel repair may move work
-  // between threads but never change a single published bit.
+  // ingest sharding, MPSC hand-off, per-window parallel inference and
+  // parallel repair may move work between threads but never change a
+  // single published bit. Held for every flush shape (full batches, one
+  // window per batch, partial batches held back max-delay ticks) and for
+  // a real model as well as the analytical baseline.
   const auto ct = make_telemetry(7, 37, /*seed=*/123);
-  const auto one = run_replay(small_config(96), ct, 1);
-  const auto eight = run_replay(small_config(96), ct, 8);
-  ASSERT_GT(one.size(), 0u);
-  expect_identical(one, eight);
-  // Sanity: both raw and repaired windows were actually exercised.
-  std::int64_t raw = 0;
-  std::int64_t repaired = 0;
-  for (const auto& p : one) {
-    raw += p.kind == serve::WindowKind::kRaw ? 1 : 0;
-    repaired += p.kind == serve::WindowKind::kRepaired ? 1 : 0;
+  serve::ServeConfig single = small_config(96);
+  single.max_batch = 1;
+  serve::ServeConfig delayed = small_config(96);
+  delayed.max_batch = 40;  // 96 ready windows leave a partial batch of 16
+  delayed.max_delay_ticks = 2;
+  const std::shared_ptr<impute::Imputer> transformer = tiny_transformer();
+  for (const auto& cfg : {small_config(96), single, delayed}) {
+    for (const auto& model :
+         {std::shared_ptr<impute::Imputer>(), transformer}) {
+      SCOPED_TRACE("max_batch " + std::to_string(cfg.max_batch) +
+                   ", max_delay_ticks " +
+                   std::to_string(cfg.max_delay_ticks) + ", model " +
+                   (model == nullptr ? "linear" : model->name()));
+      const auto one = run_replay(cfg, ct, 1, model);
+      const auto eight = run_replay(cfg, ct, 8, model);
+      ASSERT_GT(one.size(), 0u);
+      expect_identical(one, eight);
+      // Sanity: both raw and repaired windows were actually exercised.
+      std::int64_t raw = 0;
+      std::int64_t repaired = 0;
+      for (const auto& p : one) {
+        raw += p.kind == serve::WindowKind::kRaw ? 1 : 0;
+        repaired += p.kind == serve::WindowKind::kRepaired ? 1 : 0;
+      }
+      EXPECT_GT(raw, 0);
+      EXPECT_EQ(raw, repaired);  // drain() flushes the final tick's jobs
+    }
   }
-  EXPECT_GT(raw, 0);
-  EXPECT_EQ(raw, repaired);  // drain() flushes the final tick's jobs
 }
 
 TEST(ServeCore, BatchSizeNeverChangesPublishedBits) {
