@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
+#include <string>
 
 #include "impute/cem.h"
 #include "impute/fm_model.h"
@@ -36,6 +38,13 @@ struct BroadcastCase {
   Shape a;
   Shape b;
 };
+
+// Without this, gtest prints a case as a byte dump of the vectors' heap
+// pointers, which differs on every run.
+void PrintTo(const BroadcastCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(c.a) << " + "
+      << ::testing::PrintToString(c.b);
+}
 
 class BroadcastSweep : public ::testing::TestWithParam<BroadcastCase> {};
 
@@ -77,7 +86,20 @@ INSTANTIATE_TEST_SUITE_P(
                       BroadcastCase{{4, 1, 3}, {2, 3}},
                       BroadcastCase{{2, 2, 2}, {}},
                       BroadcastCase{{1}, {5}},
-                      BroadcastCase{{2, 3, 4}, {2, 3, 4}}));
+                      BroadcastCase{{2, 3, 4}, {2, 3, 4}}),
+    // Name each case by its shapes ("2x3_1x3").
+    [](const ::testing::TestParamInfo<BroadcastCase>& pinfo) {
+      const auto dims = [](const Shape& s) {
+        if (s.empty()) return std::string("scalar");
+        std::string out;
+        for (std::size_t i = 0; i < s.size(); ++i) {
+          if (i > 0) out += 'x';
+          out += std::to_string(s[i]);
+        }
+        return out;
+      };
+      return dims(pinfo.param.a) + "_" + dims(pinfo.param.b);
+    });
 
 // ---------------------------------------------------------------------------
 // Attention is permutation-equivariant (no mask, positions added outside).
