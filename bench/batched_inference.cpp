@@ -1,22 +1,10 @@
-// Batched + quantised inference throughput: windows/s of the per-window
-// serving loop vs stacking B windows into one [B, T, C] forward
-// (impute::TransformerImputer::impute_batch), and the int8 Linear path on
-// top of that. Also asserts, with exit status, the two correctness
-// contracts the CI gate leans on:
+// Transformer inference throughput: windows/s of the per-window fp32
+// serving loop (impute::TransformerImputer::impute, one InferenceGuard
+// forward per window) — the one inference path every model-backed
+// imputer serves through.
 //
-//  * batched fp32 == per-window loop bit-for-bit (any B);
-//  * the int8 EMD delta vs fp32 stays small (the bound itself is pinned in
-//    tests/inference_test.cpp and gated in CI via the exported gauge).
-//
-// Gauges (best-of-run via set_max; the deltas via set):
+// Gauge:
 //   bench.batched.loop.win_per_s    per-window fp32 loop
-//   bench.batched.b4.win_per_s      batched fp32, B=4
-//   bench.batched.b16.win_per_s     batched fp32, B=16
-//   bench.batched.int8.win_per_s    batched int8, B=16
-//   bench.batched.speedup_b16       b16 / loop (within this run)
-//   bench.batched.int8_emd_delta    mean per-window EMD(int8, fp32)
-#include <cmath>
-#include <cstdio>
 #include <iostream>
 #include <vector>
 
@@ -29,10 +17,9 @@ using namespace fmnet;
 
 namespace {
 
-// Synthetic coarse-feature windows in normalised units (qlen_scale 1, so
-// model outputs compare directly). An untrained model is fine for
-// throughput and quantisation-error purposes: the weights are random but
-// fixed by the seed, and both paths see the same ones.
+// Synthetic coarse-feature windows in normalised units. An untrained model
+// is fine for throughput purposes: the weights are random but fixed by the
+// seed.
 std::vector<telemetry::ImputationExample> make_windows(std::size_t count,
                                                        std::size_t window) {
   fmnet::Rng rng(123);
@@ -50,26 +37,11 @@ std::vector<telemetry::ImputationExample> make_windows(std::size_t count,
   return out;
 }
 
-double mean_emd_delta(const std::vector<std::vector<double>>& a,
-                      const std::vector<std::vector<double>>& b) {
-  double total = 0.0;
-  for (std::size_t w = 0; w < a.size(); ++w) {
-    double cdf = 0.0;
-    double acc = 0.0;
-    for (std::size_t t = 0; t < a[w].size(); ++t) {
-      cdf += a[w][t] - b[w][t];
-      acc += std::fabs(cdf);
-    }
-    total += acc / static_cast<double>(a[w].size());
-  }
-  return total / static_cast<double>(a.size());
-}
-
 }  // namespace
 
 int main() {
   bench::ScopedMetricsDump metrics_dump;
-  bench::print_header("Batched + quantised transformer inference");
+  bench::print_header("Transformer inference (per-window fp32 loop)");
 
   const bool fast = fast_mode();
   const std::size_t window = fast ? 90 : 300;   // 6 coarse intervals
@@ -82,78 +54,19 @@ int main() {
                                      bench::default_training(false));
   const auto windows = make_windows(num_windows, window);
 
-  // ---- correctness: batched fp32 must equal the loop bit-for-bit --------
-  std::vector<std::vector<double>> loop_out;
-  loop_out.reserve(num_windows);
-  for (const auto& ex : windows) loop_out.push_back(imputer.impute(ex));
-  for (const std::size_t b : {std::size_t{4}, std::size_t{16}}) {
-    for (std::size_t begin = 0; begin < num_windows; begin += b) {
-      const std::vector<telemetry::ImputationExample> chunk(
-          windows.begin() + static_cast<std::ptrdiff_t>(begin),
-          windows.begin() + static_cast<std::ptrdiff_t>(begin + b));
-      const auto batched = imputer.impute_batch(chunk);
-      for (std::size_t i = 0; i < b; ++i) {
-        if (batched[i] != loop_out[begin + i]) {
-          std::fprintf(stderr,
-                       "FAIL: batched (B=%zu) forward diverges from the "
-                       "per-window loop at window %zu\n",
-                       b, begin + i);
-          return 1;
-        }
-      }
-    }
+  fmnet::Stopwatch clock;
+  for (std::size_t r = 0; r < reps; ++r) {
+    for (const auto& ex : windows) (void)imputer.impute(ex);
   }
+  const double loop_wps =
+      static_cast<double>(reps * num_windows) / clock.elapsed_seconds();
 
-  // ---- throughput -------------------------------------------------------
-  auto time_windows_per_s = [&](std::size_t batch) {
-    fmnet::Stopwatch clock;
-    for (std::size_t r = 0; r < reps; ++r) {
-      if (batch <= 1) {
-        for (const auto& ex : windows) (void)imputer.impute(ex);
-      } else {
-        for (std::size_t begin = 0; begin < num_windows; begin += batch) {
-          const std::vector<telemetry::ImputationExample> chunk(
-              windows.begin() + static_cast<std::ptrdiff_t>(begin),
-              windows.begin() + static_cast<std::ptrdiff_t>(begin + batch));
-          (void)imputer.impute_batch(chunk);
-        }
-      }
-    }
-    return static_cast<double>(reps * num_windows) /
-           clock.elapsed_seconds();
-  };
+  obs::Registry::global()
+      .gauge("bench.batched.loop.win_per_s")
+      .set_max(loop_wps);
 
-  const double loop_wps = time_windows_per_s(1);
-  const double b4_wps = time_windows_per_s(4);
-  const double b16_wps = time_windows_per_s(16);
-
-  imputer.set_infer_config({/*quantize_int8=*/true});
-  const double int8_wps = time_windows_per_s(16);
-  const auto int8_out = imputer.impute_batch(windows);
-  const double emd_delta = mean_emd_delta(int8_out, loop_out);
-  imputer.set_infer_config({/*quantize_int8=*/false});
-
-  const double speedup_b16 = b16_wps / loop_wps;
-
-  auto& reg = obs::Registry::global();
-  reg.gauge("bench.batched.loop.win_per_s").set_max(loop_wps);
-  reg.gauge("bench.batched.b4.win_per_s").set_max(b4_wps);
-  reg.gauge("bench.batched.b16.win_per_s").set_max(b16_wps);
-  reg.gauge("bench.batched.int8.win_per_s").set_max(int8_wps);
-  reg.gauge("bench.batched.speedup_b16").set(speedup_b16);
-  reg.gauge("bench.batched.int8_emd_delta").set(emd_delta);
-
-  Table table({"path", "windows/s", "vs loop"});
-  table.add_row({"per-window loop (fp32)", Table::fmt(loop_wps), "1.00x"});
-  table.add_row({"batched B=4 (fp32)", Table::fmt(b4_wps),
-                 Table::fmt(b4_wps / loop_wps) + "x"});
-  table.add_row({"batched B=16 (fp32)", Table::fmt(b16_wps),
-                 Table::fmt(speedup_b16) + "x"});
-  table.add_row({"batched B=16 (int8)", Table::fmt(int8_wps),
-                 Table::fmt(int8_wps / loop_wps) + "x"});
+  Table table({"path", "windows/s"});
+  table.add_row({"per-window loop (fp32)", Table::fmt(loop_wps)});
   table.print(std::cout);
-  std::printf("\nint8 EMD delta vs fp32 (normalised units): %.6f\n",
-              emd_delta);
-  std::printf("shape check — batched fp32 bit-identical to the loop: PASS\n");
   return 0;
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Shared CI perf/accuracy gate over fmnet.metrics.v1 bench documents.
 
-One protocol for every bench job (CEM repair, kernels, batched inference):
+One protocol for every bench job (CEM repair, kernels, inference, serving,
+fabric):
 
 * Throughput keys (--keys) are compared as current/baseline ratios and
   normalised by the run's MEDIAN ratio, so a uniformly slower CI runner
@@ -12,7 +13,7 @@ One protocol for every bench job (CEM repair, kernels, batched inference):
   machine-independent — speedup ratios, hit rates — straight from the
   current document.
 * Absolute ceilings (--ceiling KEY:MAX) gate quantities that must stay
-  small, e.g. the int8-vs-fp32 EMD accuracy delta.
+  small, e.g. the serving p99 latency against the 50 ms interval.
 * --require-counter NAME asserts a counter fired at all (e.g. the repair
   cache actually served hits during the bench).
 

@@ -1,5 +1,6 @@
 #include "core/engine.h"
 
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -228,6 +229,18 @@ std::optional<T> try_load(const std::string& path, Reader reader) {
   }
 }
 
+/// True when every learned scalar of `model` is finite. A diverged fit
+/// must not reach the artifact store: its content key stays valid, so
+/// every warm run would load and serve it.
+bool all_parameters_finite(const nn::Module& model) {
+  for (const tensor::Tensor& p : model.parameters()) {
+    for (const float v : p.data()) {
+      if (!std::isfinite(v)) return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 Engine::Engine(ArtifactStore store, util::ThreadPool* pool)
@@ -322,6 +335,9 @@ impute::BuiltImputer Engine::fit_method_with_key(const Scenario& s,
       if (loaded) return built;
     }
     built.imputer->fit(data.split.train, pool_);
+    FMNET_CHECK(all_parameters_finite(built.trainable->model()),
+                "method " + method +
+                    " trained to non-finite weights; checkpoint not written");
     store_.put("checkpoint", key, [&](std::ostream& out) {
       nn::save_parameters(built.trainable->model(), out);
     });

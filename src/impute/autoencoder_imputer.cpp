@@ -79,22 +79,6 @@ std::vector<Tensor> AutoencoderNet::parameters() const {
   return params;
 }
 
-void AutoencoderNet::set_training(bool training) {
-  Module::set_training(training);
-  enc1_.set_training(training);
-  enc2_.set_training(training);
-  dec1_.set_training(training);
-  dec2_.set_training(training);
-}
-
-void AutoencoderNet::set_precision(nn::Precision precision) {
-  Module::set_precision(precision);
-  enc1_.set_precision(precision);
-  enc2_.set_precision(precision);
-  dec1_.set_precision(precision);
-  dec2_.set_precision(precision);
-}
-
 AutoencoderImputer::AutoencoderImputer(AutoencoderConfig config,
                                        TrainConfig train_config)
     : config_(config), train_config_(train_config), rng_(train_config.seed) {
@@ -198,41 +182,6 @@ std::vector<double> AutoencoderImputer::impute(const ImputationExample& ex) {
     // Denormalise to packets and clamp at zero.
     out[i] = std::max(
         0.0, static_cast<double>(pred.data()[i]) * ex.qlen_scale);
-  }
-  return out;
-}
-
-std::vector<std::vector<double>> AutoencoderImputer::impute_batch(
-    const std::vector<ImputationExample>& batch) {
-  if (batch.empty()) return {};
-  const std::size_t window = batch.front().window;
-  for (const ImputationExample& ex : batch) {
-    // Mixed window lengths cannot stack; fall back to the loop.
-    if (ex.window != window) return Imputer::impute_batch(batch);
-  }
-  FMNET_CHECK_EQ(static_cast<std::int64_t>(window), config_.window);
-  const auto b = static_cast<std::int64_t>(batch.size());
-  const auto t = static_cast<std::int64_t>(window);
-  const auto c = static_cast<std::int64_t>(telemetry::kNumInputChannels);
-  std::vector<float> data;
-  data.reserve(static_cast<std::size_t>(b * t * c));
-  for (const ImputationExample& ex : batch) {
-    FMNET_CHECK_EQ(ex.features.size(), static_cast<std::size_t>(t * c));
-    data.insert(data.end(), ex.features.begin(), ex.features.end());
-  }
-  const Tensor x = Tensor::from_vector(std::move(data), {b, t, c});
-  // Every batch row flattens to its own GEMM row, so the batched forward
-  // matches the per-window loop bit-for-bit.
-  const tensor::InferenceGuard guard;
-  const Tensor pred = net_->forward(x);  // [B, T]
-  const float* pv = pred.data().data();
-  std::vector<std::vector<double>> out(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    out[i].resize(window);
-    for (std::size_t j = 0; j < window; ++j) {
-      out[i][j] = std::max(
-          0.0, static_cast<double>(pv[i * window + j]) * batch[i].qlen_scale);
-    }
   }
   return out;
 }

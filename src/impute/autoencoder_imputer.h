@@ -7,7 +7,7 @@
 //
 // The point of a second family is that the formal-methods layers (KAL
 // penalty, CEM, C1–C4 consistency checks) are model-agnostic: everything
-// downstream of impute()/impute_batch() — CEM wrapping, streaming via
+// downstream of impute() — CEM wrapping, streaming via
 // WindowBuffer, serving, Table-1 evaluation — works unchanged, which the
 // registry-wide conformance suite (tests/imputer_conformance_test.cpp)
 // pins for every current and future imputer.
@@ -35,9 +35,7 @@ struct AutoencoderConfig {
 };
 
 /// Encoder/decoder MLP: [B, T, C] -> flatten [B, T*C] -> hidden -> latent
-/// -> hidden -> [B, T]. Each batch row is an independent GEMM row, so
-/// batched forwards match the per-window loop bit-for-bit — the same
-/// argument as the transformer's batched inference path.
+/// -> hidden -> [B, T].
 class AutoencoderNet : public nn::Module {
  public:
   AutoencoderNet(const AutoencoderConfig& config, std::int64_t channels,
@@ -45,8 +43,6 @@ class AutoencoderNet : public nn::Module {
 
   tensor::Tensor forward(const tensor::Tensor& x) const;  // [B,T,C]->[B,T]
   std::vector<tensor::Tensor> parameters() const override;
-  void set_training(bool training) override;
-  void set_precision(nn::Precision precision) override;
 
  private:
   std::int64_t window_;
@@ -69,10 +65,6 @@ class AutoencoderImputer : public CheckpointableImputer {
   void fit(const std::vector<ImputationExample>& examples,
            util::ThreadPool* pool = nullptr) override;
   std::vector<double> impute(const ImputationExample& ex) override;
-  /// Stacks same-length windows into one [B, T, C] forward; bit-identical
-  /// to the loop (independent GEMM rows). Mixed lengths fall back.
-  std::vector<std::vector<double>> impute_batch(
-      const std::vector<ImputationExample>& batch) override;
 
   AutoencoderNet& model() override { return *net_; }
   const AutoencoderConfig& config() const { return config_; }

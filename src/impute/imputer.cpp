@@ -6,7 +6,6 @@ namespace fmnet::impute {
 
 void CheckpointableImputer::load(std::istream& in) {
   nn::load_parameters(model(), in);
-  weights_loaded();
 }
 
 }  // namespace fmnet::impute

@@ -48,17 +48,15 @@ class Imputer {
   /// Concurrency contract: once the imputer is fitted or its checkpoint
   /// loaded, impute() may be called concurrently from any number of
   /// threads, and each call returns exactly what a serial call would.
-  /// Implementations therefore write no shared state here: eval mode and
-  /// inference snapshots are settled where weights change (end of fit,
-  /// CheckpointableImputer::load, inference-option setters), and any
-  /// accounting is atomic. fit() and those setters must not race impute().
+  /// Implementations therefore write no shared state here: eval mode is
+  /// settled at construction and at the end of fit, and any accounting is
+  /// atomic. fit() and CheckpointableImputer::load() must not race
+  /// impute().
   virtual std::vector<double> impute(const ImputationExample& ex) = 0;
 
-  /// Imputes many independent windows at once; out[i] corresponds to
-  /// batch[i]. The default just loops impute(); model-backed imputers
-  /// override it to stack the windows into one forward pass (the batched
-  /// inference path — see DESIGN.md), which must match the loop
-  /// bit-for-bit since each window's rows are computed independently.
+  /// Imputes many independent windows; out[i] corresponds to batch[i].
+  /// Loops impute(): every imputer serves through one per-window forward.
+  /// Virtual so wrappers (e.g. timing harnesses) can observe the call.
   virtual std::vector<std::vector<double>> impute_batch(
       const std::vector<ImputationExample>& batch) {
     std::vector<std::vector<double>> out;
@@ -77,15 +75,10 @@ class CheckpointableImputer : public Imputer {
  public:
   virtual nn::Module& model() = 0;
 
-  /// Loads weights saved by nn::save_parameters(model(), ...) and settles
-  /// the inference state derived from them, after which impute() is
-  /// concurrency-safe. Throws CheckError on an architecture mismatch.
+  /// Loads weights saved by nn::save_parameters(model(), ...), after
+  /// which impute() is concurrency-safe. Throws CheckError on an
+  /// architecture mismatch.
   void load(std::istream& in);
-
- protected:
-  /// Re-derives inference-only state (e.g. an int8 weight snapshot) from
-  /// the current weights; called by load().
-  virtual void weights_loaded() {}
 };
 
 }  // namespace fmnet::impute

@@ -29,18 +29,4 @@ std::vector<double> KnowledgeAugmentedImputer::impute(
   return r.corrected;
 }
 
-std::vector<std::vector<double>> KnowledgeAugmentedImputer::impute_batch(
-    const std::vector<ImputationExample>& batch) {
-  obs::ScopedSpan span("impute_batch");
-  std::vector<std::vector<double>> out = base_->impute_batch(batch);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const CemConstraints c =
-        to_packet_constraints(batch[i].constraints, batch[i].qlen_scale);
-    const CemResult r = cem_.correct(out[i], c, pool_);
-    account(r);
-    out[i] = r.corrected;
-  }
-  return out;
-}
-
 }  // namespace fmnet::impute

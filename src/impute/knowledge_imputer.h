@@ -31,10 +31,6 @@ class KnowledgeAugmentedImputer : public Imputer {
     base_->fit(examples, pool);
   }
   std::vector<double> impute(const ImputationExample& ex) override;
-  /// Batches the base model's forward pass (one stacked call when the base
-  /// supports it), then CEM-corrects each window independently.
-  std::vector<std::vector<double>> impute_batch(
-      const std::vector<ImputationExample>& batch) override;
 
   /// Wall-clock seconds spent inside CEM across all impute() calls, and
   /// the call count — used by bench/cem_runtime. Relaxed atomics, so

@@ -17,18 +17,16 @@ namespace fmnet::impute {
 using tensor::Tensor;
 
 TransformerImputer::TransformerImputer(nn::TransformerConfig model_config,
-                                       TrainConfig train_config,
-                                       InferConfig infer_config)
+                                       TrainConfig train_config)
     : model_config_(model_config),
       train_config_(train_config),
-      infer_config_(infer_config),
       rng_(train_config.seed) {
   FMNET_CHECK_EQ(model_config_.input_channels,
                  static_cast<std::int64_t>(telemetry::kNumInputChannels));
   model_ = std::make_unique<nn::ImputationTransformer>(model_config_, rng_);
   // Checkpoint contract: warm engine runs load weights without train(), so
   // the model must already be in the inference state train() leaves.
-  apply_infer_precision();
+  model_->set_training(false);
 }
 
 Tensor TransformerImputer::batch_features(
@@ -252,24 +250,8 @@ TrainStats TransformerImputer::train(
   }
   stats.final_mean_phi = kal_state.mean_phi();
   stats.final_mean_psi = kal_state.mean_psi();
-  apply_infer_precision();
-  return stats;
-}
-
-void TransformerImputer::set_infer_config(const InferConfig& infer_config) {
-  infer_config_ = infer_config;
-  apply_infer_precision();
-}
-
-void TransformerImputer::apply_infer_precision() {
   model_->set_training(false);
-  const nn::Precision want = infer_config_.quantize_int8
-                                 ? nn::Precision::kInt8
-                                 : nn::Precision::kFp32;
-  // Every caller runs where weights may have changed (construction, end of
-  // train(), load()) or the option did, so always re-snapshot: an int8
-  // snapshot must never outlive the weights it was taken from.
-  model_->set_precision(want);
+  return stats;
 }
 
 std::vector<double> TransformerImputer::impute(const ImputationExample& ex) {
@@ -290,42 +272,6 @@ std::vector<double> TransformerImputer::impute(const ImputationExample& ex) {
         std::max(0.0, static_cast<double>(pred.data()[static_cast<
                           std::size_t>(i)]) *
                           ex.qlen_scale);
-  }
-  return out;
-}
-
-std::vector<std::vector<double>> TransformerImputer::impute_batch(
-    const std::vector<ImputationExample>& batch) {
-  if (batch.empty()) return {};
-  const std::size_t window = batch.front().window;
-  for (const ImputationExample& ex : batch) {
-    // Mixed window lengths cannot stack; fall back to the loop.
-    if (ex.window != window) return Imputer::impute_batch(batch);
-  }
-  const auto b = static_cast<std::int64_t>(batch.size());
-  const auto t = static_cast<std::int64_t>(window);
-  const auto c = static_cast<std::int64_t>(telemetry::kNumInputChannels);
-  std::vector<float> data;
-  data.reserve(static_cast<std::size_t>(b * t * c));
-  for (const ImputationExample& ex : batch) {
-    FMNET_CHECK_EQ(ex.features.size(), static_cast<std::size_t>(t * c));
-    data.insert(data.end(), ex.features.begin(), ex.features.end());
-  }
-  const Tensor x = Tensor::from_vector(std::move(data), {b, t, c});
-  fmnet::Rng eval_rng(0);  // dropout disabled at eval; rng unused
-  // One [B*T, d] pass through every linear; attention stays block-diagonal
-  // per batch entry, so windows never attend across batch boundaries and
-  // the result matches the per-window loop bit-for-bit (fp32 path).
-  const tensor::InferenceGuard guard;
-  const Tensor pred = model_->forward(x, eval_rng);  // [B, T]
-  const float* pv = pred.data().data();
-  std::vector<std::vector<double>> out(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    out[i].resize(window);
-    for (std::size_t j = 0; j < window; ++j) {
-      out[i][j] = std::max(
-          0.0, static_cast<double>(pv[i * window + j]) * batch[i].qlen_scale);
-    }
   }
   return out;
 }

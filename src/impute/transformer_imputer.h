@@ -45,24 +45,12 @@ struct TrainStats {
   float final_mean_psi = 0.0f;  // mean C3 violation after training
 };
 
-/// Inference-path options; the training path ignores them entirely.
-struct InferConfig {
-  /// Serve Linear layers with per-output-channel int8 weights and dynamic
-  /// per-row int8 activations (tensor/quant.h): int32 dot products,
-  /// dequantised/bias/activation in fp32. Trades a bounded EMD delta
-  /// (pinned in tests and gated in CI) for throughput. The fp32 path and
-  /// trained weights are untouched — flipping this back restores
-  /// bit-identical fp32 serving.
-  bool quantize_int8 = false;
-};
-
 /// The "Transformer" and "Transformer+KAL" rows of Table 1, selected by
 /// TrainConfig::use_kal. Checkpointable: model() is the full learned state.
 class TransformerImputer : public CheckpointableImputer {
  public:
   TransformerImputer(nn::TransformerConfig model_config,
-                     TrainConfig train_config,
-                     InferConfig infer_config = {});
+                     TrainConfig train_config);
 
   /// Trains on the given examples (each example keeps a stable index for
   /// its per-example Lagrange multipliers). Micro-shards of each batch run
@@ -83,35 +71,13 @@ class TransformerImputer : public CheckpointableImputer {
     return train_config_.use_kal ? "Transformer+KAL" : "Transformer";
   }
   /// Single-window inference. Runs under a tensor::InferenceGuard — no
-  /// autograd graph, pooled activations recycled across calls — and under
-  /// the int8 path when InferConfig::quantize_int8 is set.
+  /// autograd graph, pooled activations recycled across calls.
   std::vector<double> impute(const ImputationExample& ex) override;
-
-  /// Batched inference: stacks B same-length windows into one [B, T, C]
-  /// forward. Attention is computed per batch entry (tensor::attention
-  /// loops the score product over the batch axis), so windows can never
-  /// attend across batch boundaries and the fp32 result is bit-identical
-  /// to the per-window loop. Mixed window lengths fall back to the loop.
-  std::vector<std::vector<double>> impute_batch(
-      const std::vector<ImputationExample>& batch) override;
-
-  /// Swaps the inference options on a live imputer. Precision is applied
-  /// here and again wherever weights change (end of train(), load()), so
-  /// the int8 snapshot always reflects the current weights and impute()
-  /// never writes model state. Must not race impute().
-  void set_infer_config(const InferConfig& infer_config);
-  const InferConfig& infer_config() const { return infer_config_; }
 
   nn::ImputationTransformer& model() override { return *model_; }
   const TrainConfig& train_config() const { return train_config_; }
 
- protected:
-  void weights_loaded() override { apply_infer_precision(); }
-
  private:
-  /// Eval mode + precision matching infer_config_.
-  void apply_infer_precision();
-
   tensor::Tensor batch_features(
       const std::vector<ImputationExample>& examples,
       const std::vector<std::size_t>& indices) const;
@@ -121,7 +87,6 @@ class TransformerImputer : public CheckpointableImputer {
 
   nn::TransformerConfig model_config_;
   TrainConfig train_config_;
-  InferConfig infer_config_;
   std::unique_ptr<nn::ImputationTransformer> model_;
   fmnet::Rng rng_;
 };

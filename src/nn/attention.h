@@ -19,10 +19,6 @@ class MultiHeadSelfAttention : public Module {
   Tensor forward(const Tensor& x) const;
 
   std::vector<Tensor> parameters() const override;
-  void set_training(bool training) override;
-  /// Propagates to the four projections. The attention block itself
-  /// (scores, softmax, weighted sum) always runs fp32.
-  void set_precision(Precision precision) override;
 
   std::int64_t num_heads() const { return num_heads_; }
 

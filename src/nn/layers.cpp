@@ -29,33 +29,10 @@ Tensor Linear::forward(const Tensor& x, tensor::Act act) const {
   FMNET_CHECK(x.ndim() == 2 || x.ndim() == 3,
               "Linear expects 2-D or 3-D input");
   FMNET_CHECK_EQ(x.shape().back(), in_features_);
-  if (precision() == Precision::kInt8 && tensor::inference_mode()) {
-    return quant::linear_act_quantized(x, qweight_, bias_, act);
-  }
   return linear_act(x, weight_, bias_, act);
 }
 
 std::vector<Tensor> Linear::parameters() const { return {weight_, bias_}; }
-
-void Linear::set_precision(Precision precision) {
-  if (precision == Precision::kInt8) {
-    FMNET_CHECK(!training(),
-                "set_precision(kInt8) on a training-mode Linear: call "
-                "set_training(false) first");
-    // Eager snapshot: quantisation cost is paid once here, never on the
-    // serving path.
-    qweight_ = quant::quantize_linear_weights(weight_.data().data(),
-                                              in_features_, out_features_);
-  } else {
-    qweight_ = {};
-  }
-  Module::set_precision(precision);
-}
-
-void Linear::set_training(bool training) {
-  Module::set_training(training);  // entering training resets to kFp32
-  if (training) qweight_ = {};
-}
 
 LayerNorm::LayerNorm(std::int64_t features, float eps)
     : features_(features), eps_(eps) {

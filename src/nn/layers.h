@@ -4,7 +4,6 @@
 
 #include "nn/module.h"
 #include "tensor/ops.h"
-#include "tensor/quant.h"
 #include "util/rng.h"
 
 namespace fmnet::nn {
@@ -19,17 +18,9 @@ class Linear : public Module {
 
   Tensor forward(const Tensor& x) const;
   /// Affine map with the activation fused into the same graph node
-  /// (single kernel, single backward) — y = act(x W + b). Under kInt8
-  /// precision inside an InferenceGuard scope this dispatches to the
-  /// per-channel int8 kernel instead (see tensor/quant.h).
+  /// (single kernel, single backward) — y = act(x W + b).
   Tensor forward(const Tensor& x, tensor::Act act) const;
   std::vector<Tensor> parameters() const override;
-
-  /// kInt8 snapshots the current weights as per-channel int8 (requires
-  /// eval mode); kFp32 drops the snapshot. See Module::set_precision for
-  /// the staleness contract.
-  void set_precision(Precision precision) override;
-  void set_training(bool training) override;
 
   std::int64_t in_features() const { return in_features_; }
   std::int64_t out_features() const { return out_features_; }
@@ -39,7 +30,6 @@ class Linear : public Module {
   std::int64_t out_features_;
   Tensor weight_;  // [in, out]
   Tensor bias_;    // [out]
-  tensor::quant::QuantizedLinear qweight_;  // non-empty only under kInt8
 };
 
 /// Layer normalisation over the last dimension with learnable gain/bias.

@@ -10,11 +10,6 @@ namespace fmnet::nn {
 
 using tensor::Tensor;
 
-/// Numeric precision of the inference forward path. kInt8 takes effect only
-/// inside a tensor::InferenceGuard scope, and only on modules that have a
-/// quantised kernel (Linear); everything else stays fp32 regardless.
-enum class Precision { kFp32, kInt8 };
-
 /// A trainable component exposing its learnable tensors. Concrete modules
 /// register parameters (and submodules' parameters) via parameters().
 class Module {
@@ -27,21 +22,10 @@ class Module {
   virtual std::vector<Tensor> parameters() const = 0;
 
   /// Switches training-time behaviour (e.g. dropout). Default: stores flag.
-  /// Entering training also resets precision to kFp32 (see set_precision).
-  virtual void set_training(bool training) {
-    training_ = training;
-    if (training) precision_ = Precision::kFp32;
-  }
+  /// Composite modules propagate to the submodules whose behaviour depends
+  /// on it.
+  virtual void set_training(bool training) { training_ = training; }
   bool training() const { return training_; }
-
-  /// Switches the inference-path precision. Composite modules propagate to
-  /// submodules; Linear additionally snapshots (kInt8) or drops (kFp32) its
-  /// cached int8 weights. Requires eval mode for kInt8 — and because
-  /// set_training(true) resets precision to kFp32, an int8 snapshot can
-  /// never silently go stale against optimiser updates: re-call
-  /// set_precision(kInt8) after training finishes.
-  virtual void set_precision(Precision precision) { precision_ = precision; }
-  Precision precision() const { return precision_; }
 
   /// Zeroes the gradient buffers of every parameter.
   void zero_grad() const;
@@ -51,7 +35,6 @@ class Module {
 
  private:
   bool training_ = true;
-  Precision precision_ = Precision::kFp32;
 };
 
 }  // namespace fmnet::nn

@@ -22,9 +22,6 @@ class TransformerEncoderLayer : public Module {
   Tensor forward(const Tensor& x, fmnet::Rng& rng) const;
   std::vector<Tensor> parameters() const override;
   void set_training(bool training) override;
-  /// Propagates to the attention projections and the FFN pair; the layer
-  /// norms stay fp32.
-  void set_precision(Precision precision) override;
 
  private:
   LayerNorm ln1_;
@@ -60,9 +57,6 @@ class ImputationTransformer : public Module {
 
   std::vector<Tensor> parameters() const override;
   void set_training(bool training) override;
-  /// Propagates to every Linear in the stack (input projection, attention
-  /// projections, FFN pairs, output head).
-  void set_precision(Precision precision) override;
   const TransformerConfig& config() const { return config_; }
 
  private:

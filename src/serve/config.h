@@ -17,8 +17,10 @@ struct ServeConfig {
   std::int64_t ticks = 200;
   /// The real-time budget per tick — the paper's coarse interval.
   double interval_ms = 50.0;
-  /// Cross-session batching: coalesce up to this many ready windows into
-  /// one impute_batch call.
+  /// Cross-session batching: flush up to this many ready windows together
+  /// and count them as one batch (serve.batches). It is the flush and
+  /// accounting unit only; each window is still imputed by its own
+  /// impute() call.
   std::int64_t max_batch = 64;
   /// How many ticks a ready window may wait for the batch to fill before
   /// the partial batch is flushed. 0 = flush every tick (lowest latency).

@@ -375,21 +375,15 @@ Tensor attention(const Tensor& q, const Tensor& k, const Tensor& v,
   // into (at T=300 those were the two largest allocations per step). The
   // softmax rows are computed in place on the score buffer and kept for
   // backward, which needs them for both dV and the softmax Jacobian.
-  // Backward is also the ONLY consumer of the whole-batch slab: inference
-  // reuses a single [T, S] scratch across entries instead — at B=16 the
-  // batch*T*S slab (1 MB at the bench sizes) evicts the L2-resident Q/K/V
-  // streams. Buffer addresses never enter the arithmetic, so batched
-  // results stay bit-identical either way.
-  const bool infer = inference_mode();
-  auto attn = std::make_shared<PooledBuf>(pool::acquire(
-      static_cast<std::size_t>((infer ? 1 : batch) * t * s)));
+  auto attn = std::make_shared<PooledBuf>(
+      pool::acquire(static_cast<std::size_t>(batch * t * s)));
   std::vector<float> out =
       pool::acquire(static_cast<std::size_t>(batch * t * d));
   const float* qp = q.data().data();
   const float* kp = k.data().data();
   const float* vp = v.data().data();
   for (std::int64_t e = 0; e < batch; ++e) {
-    float* ae = attn->v.data() + (infer ? 0 : e * t * s);
+    float* ae = attn->v.data() + e * t * s;
     kernels::gemm_bt(qp + e * t * d, kp + e * s * d, ae, t, d, s,
                      /*pool=*/nullptr, /*accumulate=*/false);
     // softmax(scale * x) == exp(scale * (x - max)) / sum: the score scale

@@ -7,10 +7,6 @@
 #include <limits>
 #include <vector>
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#include <immintrin.h>
-#endif
-
 #include "tensor/activations.h"
 #include "tensor/pool.h"
 #include "util/check.h"
@@ -28,7 +24,7 @@ namespace {
 // builds whose baseline lacks AVX2+FMA we additionally compile an
 // AVX2+FMA clone of the same body (~2.5x more GEMM throughput on post-2013
 // cores), and whose baseline lacks AVX-512F an AVX-512 clone (wider FMA
-// streams for the batched-inference row counts); the best CPU-supported
+// streams); the best CPU-supported
 // variant is picked at startup — the binary stays runnable on any x86-64
 // machine. Set FMNET_KERNEL_ISA=portable|avx2|avx512 to pin a variant
 // (e.g. to compare numbers across machines: FMA contracts a*b+c into one
@@ -38,7 +34,6 @@ namespace {
 namespace baseline {
 #include "tensor/kernels_elementwise.inc"
 #include "tensor/kernels_panel.inc"
-#include "tensor/kernels_quant.inc"
 #include "tensor/kernels_skinny.inc"
 }  // namespace baseline
 
@@ -50,7 +45,6 @@ namespace baseline {
 namespace avx2 {
 #include "tensor/kernels_elementwise.inc"
 #include "tensor/kernels_panel.inc"
-#include "tensor/kernels_quant.inc"
 #include "tensor/kernels_skinny.inc"
 }  // namespace avx2
 #pragma GCC pop_options
@@ -64,33 +58,24 @@ namespace avx2 {
 namespace avx512 {
 #include "tensor/kernels_elementwise.inc"
 #include "tensor/kernels_panel.inc"
-#include "tensor/kernels_quant.inc"
 #include "tensor/kernels_skinny.inc"
 }  // namespace avx512
 #pragma GCC pop_options
 #endif
 
-// The VNNI clone exists for its integer-domain quantised linear
-// (kernels_quant_vnni.inc); the float kernels are the same source compiled
-// with VNNI merely enabled. Requires the intrinsics, hence GCC-only like
-// the other clones.
+// The VNNI clone compiles the same float source as the AVX-512 clone with
+// VNNI merely enabled; it is kept so `isa` keeps naming the host's
+// variant. GCC-only like the other clones.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
     !defined(__AVX512VNNI__)
 #define FMNET_GEMM_AVX512VNNI_CLONE 1
 #pragma GCC push_options
 #pragma GCC target("avx512f,avx512vl,avx512bw,avx512dq,avx512vnni,avx2,fma")
-// _mm512_undefined_ps inside _mm512_cvtepi32_ps trips GCC's
-// -Wmaybe-uninitialized (the intrinsics header's deliberate `__Y = __Y`).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 namespace avx512vnni {
 #include "tensor/kernels_elementwise.inc"
 #include "tensor/kernels_panel.inc"
-#include "tensor/kernels_quant.inc"
-#include "tensor/kernels_quant_vnni.inc"
 #include "tensor/kernels_skinny.inc"
 }  // namespace avx512vnni
-#pragma GCC diagnostic pop
 #pragma GCC pop_options
 #endif
 
@@ -100,10 +85,6 @@ using PanelFn = void (*)(const float*, std::int64_t, std::int64_t,
 using SkinnyFn = void (*)(const float*, std::int64_t, std::int64_t,
                           const float*, float*, std::int64_t, std::int64_t,
                           std::int64_t, bool);
-using QuantLinearFn = void (*)(const float*, std::int64_t, std::int64_t,
-                               std::int64_t, const std::int8_t*,
-                               const float*, const float*, float*, float*,
-                               float*, int);
 using SoftmaxFn = void (*)(float*, std::int64_t, std::int64_t, float);
 using GeluFn = void (*)(float*, std::int64_t, std::int64_t);
 
@@ -142,25 +123,6 @@ SkinnyFn skinny_fn_for(Isa isa) {
 #endif
     default:
       return baseline::skinny_run;
-  }
-}
-
-QuantLinearFn quant_linear_fn_for(Isa isa) {
-  switch (isa) {
-#ifdef FMNET_GEMM_AVX2_CLONE
-    case Isa::kAvx2:
-      return avx2::quant_linear_rows_impl;
-#endif
-#ifdef FMNET_GEMM_AVX512_CLONE
-    case Isa::kAvx512:
-      return avx512::quant_linear_rows_impl;
-#endif
-#ifdef FMNET_GEMM_AVX512VNNI_CLONE
-    case Isa::kAvx512Vnni:
-      return avx512vnni::quant_linear_rows_vnni_impl;
-#endif
-    default:
-      return baseline::quant_linear_rows_impl;
   }
 }
 
@@ -417,15 +379,6 @@ void softmax_rows(float* v, std::int64_t rows, std::int64_t len,
 void gelu_rows(float* v, std::int64_t rows, std::int64_t len) {
   if (rows == 0 || len == 0) return;
   gelu_fn_for(active_isa_slow())(v, rows, len);
-}
-
-void quant_linear_rows(const float* x, std::int64_t rows, std::int64_t k,
-                       std::int64_t n, const std::int8_t* wq,
-                       const float* wscale, const float* bias, float* y,
-                       float* xq_scratch, float* wq_scratch, int act) {
-  if (rows == 0 || n == 0) return;
-  quant_linear_fn_for(active_isa_slow())(x, rows, k, n, wq, wscale, bias, y,
-                                         xq_scratch, wq_scratch, act);
 }
 
 void gemm(const float* a, const float* b, float* c, std::int64_t m,

@@ -28,9 +28,9 @@
 // local across the full k extent and touches C once, dispatched over
 // fixed-width instantiations so the inner loops have compile-time trip
 // counts. Every row runs the ONE row body (no kMR quads), so an output
-// element is independent of the row's position within the call — the
-// property batched inference leans on when it stacks windows whose start
-// offsets are not multiples of kMR (see kernels_skinny.inc).
+// element is independent of the row's position within the call, even for
+// stacked windows whose start offsets are not multiples of kMR (see
+// kernels_skinny.inc).
 //
 // Parallelism: output rows are split into fixed kRowBlock-row blocks and
 // sharded across util::ThreadPool lanes. Every output element is computed
@@ -58,12 +58,7 @@ namespace fmnet::tensor::kernels {
 /// runtime-dispatched clones compiled on x86-64 GCC builds whose baseline
 /// lacks them. FMA contracts a*b+c into one rounding, so variants may
 /// differ from each other (and from the references) in the last ulp —
-/// each variant is individually bit-deterministic at any lane count. The
-/// quantised linear is tighter: its MAC is exact integer arithmetic for
-/// k <= kQuantExactMacK on every variant (including the VNNI
-/// integer-domain kernel), so variants can differ only in the final
-/// dequant rounding (FMA-contracted on the clones, two roundings on a
-/// non-FMA baseline).
+/// each variant is individually bit-deterministic at any lane count.
 enum class Isa { kPortable = 0, kAvx2 = 1, kAvx512 = 2, kAvx512Vnni = 3 };
 
 /// "portable" / "avx2" / "avx512" / "avx512vnni" — the FMNET_KERNEL_ISA
@@ -95,10 +90,6 @@ inline constexpr std::int64_t kKC = 256;
 /// Widest n served by the skinny register-accumulating kernel: one AVX-512
 /// register / two AVX2 registers per C row.
 inline constexpr std::int64_t kSkinnyMaxN = 16;
-/// Largest k for which the quantised linear's fp32 MAC over int8-grid
-/// values is exactly the int32 result: |sum| <= 127 * 127 * k must stay
-/// under 2^24 (the fp32 exact-integer range).
-inline constexpr std::int64_t kQuantExactMacK = (1 << 24) / (127 * 127);
 /// Rows per parallel work item (a multiple of kMR so row quads never
 /// straddle lanes).
 inline constexpr std::int64_t kRowBlock = 64;
@@ -125,8 +116,8 @@ void gemm_bt(const float* a, const float* bt, float* c, std::int64_t m,
 // activation helpers contain clamp selects the SSE2 baseline cannot
 // if-convert, so these loops only vectorise under the AVX2/AVX-512
 // clones). Each output element is a pure function of its own row's
-// contents and within-row position — never of `rows` — so stacked
-// (batched) and per-window calls agree bit-for-bit under one ISA.
+// contents and within-row position — never of `rows` — so stacked and
+// per-window calls agree bit-for-bit under one ISA.
 
 /// In-place numerically-stable softmax over `rows` contiguous rows of
 /// `len`: row = exp(scale * (row - max(row))) / sum.
@@ -135,20 +126,6 @@ void softmax_rows(float* v, std::int64_t rows, std::int64_t len,
 
 /// In-place tanh-approximation GELU over `rows` contiguous rows of `len`.
 void gelu_rows(float* v, std::int64_t rows, std::int64_t len);
-
-/// Fused int8 linear row kernel: per-row dynamic quantisation of x onto
-/// the int8 grid, MAC against the int8 weights, fp32 dequant with
-/// per-output-channel weight scales, bias, and activation (act:
-/// 0 = identity, 1 = relu, 2 = gelu). Rounding is bit-compatible with
-/// nearbyintf (round-half-to-even) via the magic-number shift. The MAC
-/// runs in fp32 over the quantised small-integer values — exactly the
-/// int32 result for k <= kQuantExactMacK, at fp32-FMA speed (see
-/// kernels_quant.inc). `xq_scratch` ([k]) and `wq_scratch` ([k*n]) are
-/// caller-provided so repeated calls reuse one allocation.
-void quant_linear_rows(const float* x, std::int64_t rows, std::int64_t k,
-                       std::int64_t n, const std::int8_t* wq,
-                       const float* wscale, const float* bias, float* y,
-                       float* xq_scratch, float* wq_scratch, int act);
 
 // Naive i-k-j reference implementations (single-threaded, no blocking).
 // Used by the kernel tests as ground truth; same accumulate-into-C

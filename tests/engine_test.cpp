@@ -1,6 +1,7 @@
 // Scenario engine and artifact store: stable cache keys, integrity
-// checking, corrupted-artifact recovery, checkpoint round-trips, and
-// cold-vs-warm bit-identical results.
+// checking, corrupted-artifact recovery, checkpoint round-trips,
+// cold-vs-warm bit-identical results, and diverged fits kept out of the
+// store.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include "core/evaluation.h"
 #include "core/scenario.h"
 #include "obs/metrics.h"
+#include "util/check.h"
 #include "util/hash.h"
 
 namespace fmnet {
@@ -258,6 +260,25 @@ TEST(Engine, CheckpointRoundTripIsBitIdentical) {
   for (const auto& ex : data.split.test) {
     EXPECT_EQ(trained.imputer->impute(ex), loaded.imputer->impute(ex));
   }
+}
+
+TEST(Engine, DivergedFitIsRefusedAndNeverCheckpointed) {
+  // A learning rate this large overflows the weights within one epoch. The
+  // checkpoint key is still valid, so a cached copy would be served on
+  // every warm run: the fit must fail before the store sees it.
+  core::Scenario s = small_scenario();
+  s.train.lr = 1e30f;
+  const std::string dir = fresh_dir("engine_diverged");
+
+  core::Engine engine{core::ArtifactStore(dir)};
+  const core::Campaign campaign = engine.campaign(s.campaign);
+  const core::PreparedData data = engine.prepare(s, campaign);
+  EXPECT_THROW(engine.fit_method(s, "transformer", data), CheckError);
+
+  const core::ArtifactStore store(dir);
+  EXPECT_FALSE(
+      store.find("checkpoint", core::Engine::checkpoint_key(s, "transformer"))
+          .has_value());
 }
 
 TEST(Engine, WarmRunServesFromCacheBitIdentically) {

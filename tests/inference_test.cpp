@@ -1,21 +1,16 @@
 // Inference-path parity: the no-autograd forward (tensor::InferenceGuard)
-// against the graph-building training forward, batched serving against the
-// per-window loop, and the int8 quantised path against its contracts —
-// exact int32 semantics at the kernel level, a pinned EMD accuracy bound
-// at the model level, and clean restoration of bit-identical fp32 serving
-// when quantisation is switched back off.
+// against the graph-building training forward — the one forward every
+// model-backed imputer serves through — plus pooled-activation reuse, the
+// guard's refusal to build differentiable KAL terms, and impute_batch
+// against the per-window loop.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "impute/transformer_imputer.h"
 #include "nn/kal.h"
-#include "tensor/kernels.h"
 #include "tensor/pool.h"
-#include "tensor/quant.h"
 #include "tensor/tensor.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -23,9 +18,6 @@
 namespace fmnet {
 namespace {
 
-// T = 90 on purpose: 90 % 4 == 2, so stacked windows start at different
-// panel-quad phases — the layout that exposed row-position-dependent FMA
-// contraction in an earlier skinny-kernel draft (see kernels_skinny.inc).
 constexpr std::size_t kWindow = 90;
 
 telemetry::ImputationExample make_example(std::uint64_t seed,
@@ -50,21 +42,6 @@ impute::TransformerImputer make_imputer() {
   impute::TrainConfig train;
   train.epochs = 0;
   return impute::TransformerImputer(model, train);
-}
-
-double mean_emd_delta(const std::vector<std::vector<double>>& a,
-                      const std::vector<std::vector<double>>& b) {
-  double total = 0.0;
-  for (std::size_t w = 0; w < a.size(); ++w) {
-    double cdf = 0.0;
-    double acc = 0.0;
-    for (std::size_t t = 0; t < a[w].size(); ++t) {
-      cdf += a[w][t] - b[w][t];
-      acc += std::fabs(cdf);
-    }
-    total += acc / static_cast<double>(a[w].size());
-  }
-  return total / static_cast<double>(a.size());
 }
 
 // ---- no-autograd forward parity -------------------------------------------
@@ -140,7 +117,7 @@ TEST(InferenceMode, KalPenaltyRefusesInferenceScope) {
                CheckError);
 }
 
-// ---- batched serving vs the per-window loop -------------------------------
+// ---- impute_batch vs the per-window loop ----------------------------------
 
 TEST(BatchedInference, MatchesPerWindowLoopExactly) {
   auto imputer = make_imputer();
@@ -175,143 +152,6 @@ TEST(BatchedInference, MixedWindowLengthsFallBackToLoop) {
   ASSERT_EQ(batched.size(), windows.size());
   for (std::size_t i = 0; i < windows.size(); ++i) {
     EXPECT_EQ(batched[i], imputer.impute(windows[i])) << "window " << i;
-  }
-}
-
-// ---- int8 quantisation contracts ------------------------------------------
-
-TEST(QuantizedLinear, WeightRoundTripWithinHalfScale) {
-  fmnet::Rng rng(31);
-  const std::int64_t in = 24;
-  const std::int64_t out = 16;
-  std::vector<float> w(static_cast<std::size_t>(in * out));
-  for (auto& v : w) v = static_cast<float>(rng.normal(0.0, 1.0));
-  // An all-zero output channel must keep dequantisation well-defined.
-  for (std::int64_t p = 0; p < in; ++p) {
-    w[static_cast<std::size_t>(p * out + 3)] = 0.0f;
-  }
-
-  const auto qw = tensor::quant::quantize_linear_weights(w.data(), in, out);
-  ASSERT_EQ(qw.in, in);
-  ASSERT_EQ(qw.out, out);
-  EXPECT_EQ(qw.scale[3], 1.0f);
-  for (std::int64_t j = 0; j < out; ++j) {
-    const float scale = qw.scale[static_cast<std::size_t>(j)];
-    for (std::int64_t p = 0; p < in; ++p) {
-      const auto idx = static_cast<std::size_t>(p * out + j);
-      EXPECT_GE(qw.wq[idx], -127);
-      EXPECT_LE(qw.wq[idx], 127);
-      EXPECT_LE(std::fabs(w[idx] - static_cast<float>(qw.wq[idx]) * scale),
-                scale * 0.5f + 1e-6f)
-          << "channel " << j << " row " << p;
-    }
-  }
-}
-
-TEST(QuantizedLinear, ForwardMatchesInt32Reference) {
-  // The fast kernel runs its MAC as fp32 FMAs over the quantised values;
-  // for k <= kernels::kQuantExactMacK that is EXACTLY the int32 result
-  // (products <= 127^2 and sums < 2^24 are all representable). Only the
-  // final dequant `acc * scale + bias` may contract into an FMA in the
-  // kernel and not in this reference, so the comparison allows a couple
-  // of ulps there — independent of k, which is what distinguishes an
-  // exact integer MAC from a genuinely rounded float accumulation. Both
-  // a templated width (16) and the variable fallback (7) are covered.
-  fmnet::Rng rng(32);
-  for (const std::int64_t n : {std::int64_t{16}, std::int64_t{7}}) {
-    const std::int64_t rows = 5;
-    const std::int64_t k = 64;
-    ASSERT_LE(k, tensor::kernels::kQuantExactMacK);
-    std::vector<float> w(static_cast<std::size_t>(k * n));
-    std::vector<float> x(static_cast<std::size_t>(rows * k));
-    std::vector<float> bias(static_cast<std::size_t>(n));
-    for (auto& v : w) v = static_cast<float>(rng.normal(0.0, 1.0));
-    for (auto& v : x) v = static_cast<float>(rng.normal(0.0, 1.0));
-    for (auto& v : bias) v = static_cast<float>(rng.normal(0.0, 1.0));
-    const auto qw =
-        tensor::quant::quantize_linear_weights(w.data(), k, n);
-
-    std::vector<float> fast(static_cast<std::size_t>(rows * n));
-    tensor::quant::quantized_linear_forward(x.data(), rows, qw, bias.data(),
-                                            fast.data(),
-                                            tensor::Act::kNone);
-
-    for (std::int64_t i = 0; i < rows; ++i) {
-      const float* xrow = x.data() + i * k;
-      float amax = 0.0f;
-      for (std::int64_t q = 0; q < k; ++q) {
-        amax = std::max(amax, std::fabs(xrow[q]));
-      }
-      const float xscale = amax > 0.0f ? amax / 127.0f : 1.0f;
-      const float inv = 1.0f / xscale;
-      std::vector<std::int32_t> xq(static_cast<std::size_t>(k));
-      for (std::int64_t q = 0; q < k; ++q) {
-        const float r = std::nearbyintf(xrow[q] * inv);
-        xq[static_cast<std::size_t>(q)] = static_cast<std::int32_t>(
-            std::max(-127.0f, std::min(127.0f, r)));
-      }
-      for (std::int64_t j = 0; j < n; ++j) {
-        std::int32_t acc = 0;
-        for (std::int64_t q = 0; q < k; ++q) {
-          acc += xq[static_cast<std::size_t>(q)] *
-                 static_cast<std::int32_t>(
-                     qw.wq[static_cast<std::size_t>(q * n + j)]);
-        }
-        const float expect =
-            static_cast<float>(acc) *
-                (xscale * qw.scale[static_cast<std::size_t>(j)]) +
-            bias[static_cast<std::size_t>(j)];
-        const float tol =
-            std::max(std::fabs(expect) * 3e-7f, 1e-6f);  // ~2 ulps
-        EXPECT_NEAR(fast[static_cast<std::size_t>(i * n + j)], expect, tol)
-            << "n=" << n << " row " << i << " col " << j;
-      }
-    }
-  }
-}
-
-TEST(QuantizedInference, EmdDeltaWithinPinnedBound) {
-  // THE pinned accuracy bound for the int8 serving path. CI additionally
-  // gates the value exported by bench/batched_inference with the same
-  // constant; loosening either is an accuracy regression to be justified,
-  // not absorbed.
-  constexpr double kMaxEmdDelta = 0.35;
-
-  auto imputer = make_imputer();
-  std::vector<telemetry::ImputationExample> windows;
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    windows.push_back(make_example(200 + i));
-  }
-  const auto fp32_out = imputer.impute_batch(windows);
-
-  imputer.set_infer_config({/*quantize_int8=*/true});
-  const auto int8_out = imputer.impute_batch(windows);
-  const double delta = mean_emd_delta(int8_out, fp32_out);
-  EXPECT_GT(delta, 0.0) << "int8 path produced bit-identical output — is "
-                           "quantisation actually on?";
-  EXPECT_LT(delta, kMaxEmdDelta);
-
-  // Switching back off must restore bit-identical fp32 serving: the
-  // trained weights were never touched, only shadowed.
-  imputer.set_infer_config({/*quantize_int8=*/false});
-  EXPECT_EQ(imputer.impute_batch(windows), fp32_out);
-}
-
-TEST(QuantizedInference, BatchedInt8MatchesPerWindowInt8) {
-  // Bit-equality across batch shapes holds for the int8 path too: the
-  // quant kernel's per-row pass never reads the row count.
-  auto imputer = make_imputer();
-  imputer.set_infer_config({/*quantize_int8=*/true});
-  std::vector<telemetry::ImputationExample> windows;
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    windows.push_back(make_example(300 + i));
-  }
-  std::vector<std::vector<double>> loop_out;
-  for (const auto& ex : windows) loop_out.push_back(imputer.impute(ex));
-  const auto batched = imputer.impute_batch(windows);
-  ASSERT_EQ(batched.size(), windows.size());
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    EXPECT_EQ(batched[i], loop_out[i]) << "window " << i;
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 #include <string>
 
 #include "tensor/ops.h"
@@ -242,6 +243,10 @@ struct UnaryCase {
   // input sampler: keeps inputs inside the op's valid/stable domain
   std::function<float(fmnet::Rng&)> sample;
 };
+
+// Without this, gtest prints a case as a byte dump of its string and
+// std::function members (heap pointers), which differs on every run.
+void PrintTo(const UnaryCase& c, std::ostream* os) { *os << c.name; }
 
 class UnaryGradTest : public ::testing::TestWithParam<UnaryCase> {};
 

@@ -200,9 +200,9 @@ TEST(GemmKernels, AllIsaVariantsMatchReference) {
 
 // The skinny kernel's determinism contract (kernels_skinny.inc): an output
 // row is independent of its position within the call, on every ISA. This
-// is the regression test for the batched-inference bug where a kMR-row
-// quad body contracted FMAs asymmetrically and windows starting at
-// different quad phases diverged from the per-window loop.
+// is the regression test for a kMR-row quad body that contracted FMAs
+// asymmetrically, so stacked windows starting at different quad phases
+// diverged from the same windows computed alone.
 TEST(GemmKernels, SkinnyRowsIndependentOfRowPosition) {
   const kernels::Isa startup = kernels::active_isa();
   fmnet::Rng rng(116);
@@ -227,70 +227,6 @@ TEST(GemmKernels, SkinnyRowsIndependentOfRowPosition) {
           EXPECT_EQ(part[i],
                     full[static_cast<std::size_t>(i0 * n) + i])
               << kernels::isa_name(isa) << " n=" << n << " offset " << i0
-              << " element " << i;
-        }
-      }
-    }
-  }
-  kernels::set_isa(startup);
-}
-
-// The quantised linear's MAC is exact integer arithmetic on every variant
-// for k <= kQuantExactMacK (fp32 over small-integer values on
-// portable/avx2/avx512, native int32 dpbusd on avx512vnni) — only the
-// final dequant `acc * scale + bias` rounds, and it contracts into an FMA
-// on the FMA-capable variants but not the SSE2 baseline. To pin the MAC
-// itself bit-for-bit across ALL variants, this sweep constructs inputs
-// whose dequant is exact too: integer-valued activations with absmax
-// exactly 127 (xscale == 1), unit weight scales, integer bias — every
-// output is then an exact small integer any rounding order reproduces.
-// A MAC that is off by even one (a dropped quad in the VNNI repack, a
-// wrong u8 bias compensation) shifts the output by a whole scale step.
-// Sweeps templated widths, the variable fallback, non-multiple-of-16
-// widths (the VNNI masked tail), and identity + relu (gelu is a float
-// approximation whose own contraction may differ per ISA).
-TEST(QuantKernels, AllIsaVariantsAgreeOnExactIntegerMac) {
-  const kernels::Isa startup = kernels::active_isa();
-  fmnet::Rng rng(117);
-  const std::int64_t rows = 9;
-  const std::int64_t k = 70;  // not a multiple of 4: VNNI padded tail
-  ASSERT_LE(k, kernels::kQuantExactMacK);
-  for (const std::int64_t n : {std::int64_t{16}, std::int64_t{7},
-                               std::int64_t{33}, std::int64_t{64}}) {
-    std::vector<float> x(static_cast<std::size_t>(rows * k));
-    for (std::int64_t i = 0; i < rows; ++i) {
-      for (std::int64_t q = 0; q < k; ++q) {
-        x[static_cast<std::size_t>(i * k + q)] =
-            static_cast<float>(rng.uniform_int(-127, 127));
-      }
-      x[static_cast<std::size_t>(i * k + (i % k))] = 127.0f;  // xscale = 1
-    }
-    const std::vector<float> wscale(static_cast<std::size_t>(n), 1.0f);
-    std::vector<float> bias(static_cast<std::size_t>(n));
-    for (auto& b : bias) b = static_cast<float>(rng.uniform_int(-8, 8));
-    std::vector<std::int8_t> wq(static_cast<std::size_t>(k * n));
-    for (auto& w : wq) {
-      w = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-    }
-    std::vector<float> xq_scratch(static_cast<std::size_t>(k));
-    std::vector<float> wq_scratch(static_cast<std::size_t>(k * n));
-    for (const int act : {0, 1}) {
-      std::vector<float> ref;
-      for (const kernels::Isa isa : kernels::compiled_isas()) {
-        if (!kernels::isa_supported(isa)) continue;
-        kernels::set_isa(isa);
-        std::vector<float> y(static_cast<std::size_t>(rows * n), -7.0f);
-        kernels::quant_linear_rows(x.data(), rows, k, n, wq.data(),
-                                   wscale.data(), bias.data(), y.data(),
-                                   xq_scratch.data(), wq_scratch.data(),
-                                   act);
-        if (ref.empty()) {
-          ref = y;
-          continue;
-        }
-        for (std::size_t i = 0; i < ref.size(); ++i) {
-          EXPECT_EQ(y[i], ref[i])
-              << kernels::isa_name(isa) << " n=" << n << " act=" << act
               << " element " << i;
         }
       }
