@@ -10,13 +10,13 @@
 //
 //  2. The overlapping-window serving workload: a window of one coarse
 //     interval advanced by half an interval per step, repaired with the
-//     smtlite engine under four configurations — cold, warm-started from
-//     the previous window's solution (incremental solving), a seed-varied
-//     portfolio, and the content-addressed repair cache. All four must
-//     produce byte-identical repairs (the bench exits non-zero otherwise —
-//     CI's cache-correctness check), and the per-window medians feed the
+//     smtlite engine under three configurations — cold, warm-started from
+//     the previous window's solution (incremental solving), and the
+//     content-addressed repair cache. All three must produce
+//     byte-identical repairs (the bench exits non-zero otherwise — CI's
+//     cache-correctness check), and the per-window medians feed the
 //     BENCH_cem.json perf gate:
-//       bench.cem.{cold,warm,portfolio,cache}.win_per_s
+//       bench.cem.{cold,warm,cache}.win_per_s
 //       bench.cem.warm_speedup / bench.cem.cache_speedup
 #include <algorithm>
 #include <cstdio>
@@ -158,8 +158,6 @@ int main() {
   impute::CemConfig cold_cfg = smt_cold_cfg;
   impute::CemConfig warm_cfg = smt_cold_cfg;
   warm_cfg.warm_start = true;
-  impute::CemConfig portfolio_cfg = warm_cfg;
-  portfolio_cfg.portfolio = 4;
   impute::CemConfig cache_cfg = smt_cold_cfg;
   cache_cfg.use_repair_cache = true;
 
@@ -173,7 +171,7 @@ int main() {
     std::vector<std::vector<double>> repaired;
   };
   ConfigResult cold{"cold", 0.0, {}}, warm{"warm", 0.0, {}},
-      portfolio{"portfolio", 0.0, {}}, cache{"cache", 0.0, {}};
+      cache{"cache", 0.0, {}};
 
   auto run_cold_like = [&](const impute::CemConfig& cfg,
                            ConfigResult& out) {
@@ -219,7 +217,6 @@ int main() {
 
   run_cold_like(cold_cfg, cold);
   run_streaming(warm_cfg, warm);
-  run_streaming(portfolio_cfg, portfolio);
   // Cache: prime once (miss path), then measure the hit path.
   smt::SolveCache::global().clear();
   {
@@ -231,9 +228,9 @@ int main() {
   run_cold_like(cache_cfg, cache);
 
   // Byte-identity across every configuration (the cache-correctness
-  // assertion CI relies on): warm, portfolio and cached repairs must equal
-  // the cold repair exactly.
-  for (const ConfigResult* cfg : {&warm, &portfolio, &cache}) {
+  // assertion CI relies on): warm and cached repairs must equal the cold
+  // repair exactly.
+  for (const ConfigResult* cfg : {&warm, &cache}) {
     for (std::size_t i = 0; i < n; ++i) {
       if (cfg->repaired[i] != cold.repaired[i]) {
         std::fprintf(stderr,
@@ -243,13 +240,13 @@ int main() {
       }
     }
   }
-  std::printf("\n%zu overlapping windows: warm/portfolio/cache repairs "
+  std::printf("\n%zu overlapping windows: warm/cache repairs "
               "byte-identical to cold\n",
               n);
 
   auto& reg = obs::Registry::global();
   Table t2({"config", "median ms/window", "windows/s", "speedup vs cold"});
-  for (const ConfigResult* cfg : {&cold, &warm, &portfolio, &cache}) {
+  for (const ConfigResult* cfg : {&cold, &warm, &cache}) {
     const double wps = 1e3 / cfg->median;
     const double speedup = cold.median / cfg->median;
     std::string gauge("bench.cem.");

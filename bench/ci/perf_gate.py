@@ -8,7 +8,11 @@ fabric):
   normalised by the run's MEDIAN ratio, so a uniformly slower CI runner
   cancels out while a single metric regressing relative to the others
   fails. The default tolerance is a >30% normalised regression
-  (--max-regression 0.30).
+  (--max-regression 0.30). A lone key normalised by its own ratio always
+  reads 1.00x, so --keys with exactly one key is refused (exit 2).
+* --current may be repeated to gate documents written by several benches
+  of one CI job together: their counters are summed and their gauges
+  merged, and a gauge that appears in two of them is an error.
 * Absolute floors (--floor KEY:MIN) gate within-run quantities that are
   machine-independent — speedup ratios, hit rates — straight from the
   current document.
@@ -21,8 +25,8 @@ Gauges are read as best-of-run: max(value, max) when the gauge tracked a
 max across repetitions, else the final value — the committed baselines
 use the same convention, which tames scheduler noise.
 
-Exit status is non-zero on any violation; every check prints its verdict
-so the CI log reads as a report.
+Exit status is 1 on any violation and 2 on a gate that cannot fail; every
+check prints its verdict so the CI log reads as a report.
 """
 
 from __future__ import annotations
@@ -42,6 +46,25 @@ def best(doc: dict, key: str) -> float:
     return max(g["value"], g.get("max", g["value"]))
 
 
+def load_current(paths: list[str]) -> dict:
+    """Sums the counters and merges the gauges of one job's documents."""
+    merged: dict = {"gauges": {}, "counters": {}}
+    for path in paths:
+        doc = json.load(open(path))
+        if doc.get("schema") != "fmnet.metrics.v1":
+            raise SystemExit(
+                f"perf_gate: {path} schema is {doc.get('schema')!r}, "
+                "want fmnet.metrics.v1")
+        for name, n in doc.get("counters", {}).items():
+            merged["counters"][name] = merged["counters"].get(name, 0) + n
+        for name, g in doc.get("gauges", {}).items():
+            if name in merged["gauges"]:
+                raise SystemExit(f"perf_gate: gauge {name!r} appears in "
+                                 "more than one --current document")
+            merged["gauges"][name] = g
+    return merged
+
+
 def parse_bound(spec: str) -> tuple[str, float]:
     key, sep, bound = spec.rpartition(":")
     if not sep or not key:
@@ -52,8 +75,8 @@ def parse_bound(spec: str) -> tuple[str, float]:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--baseline", help="committed baseline metrics JSON")
-    ap.add_argument("--current", required=True,
-                    help="metrics JSON from this run")
+    ap.add_argument("--current", action="append", required=True,
+                    help="metrics JSON from this run (repeatable; merged)")
     ap.add_argument("--keys", default="",
                     help="comma-separated throughput gauge keys for the "
                          "median-normalised regression rule")
@@ -74,14 +97,15 @@ def main() -> int:
                          "(repeatable)")
     args = ap.parse_args()
 
-    cur = json.load(open(args.current))
-    if cur.get("schema") != "fmnet.metrics.v1":
-        raise SystemExit(
-            f"perf_gate: {args.current} schema is {cur.get('schema')!r}, "
-            "want fmnet.metrics.v1")
+    cur = load_current(args.current)
     failures: list[str] = []
 
     keys = [k for k in args.keys.split(",") if k]
+    if len(keys) == 1:
+        print(f"perf_gate: --keys names only {keys[0]!r}; normalised by its "
+              "own ratio it always reads 1.00x. Add a second key from the "
+              "same run.", file=sys.stderr)
+        return 2
     if keys:
         if not args.baseline:
             raise SystemExit("perf_gate: --keys requires --baseline")

@@ -209,11 +209,7 @@ ConstraintEnforcementModule::correct_interval_smt(
   std::vector<smt::VarId> q;
   q.reserve(static_cast<std::size_t>(factor));
   for (std::int64_t t = 0; t < factor; ++t) {
-    // Appended, not `"q" + std::to_string(t)`: GCC 12 -Wrestrict
-    // false-positives (PR105651) on operator+(const char*, std::string&&).
-    std::string qname("q");
-    qname += std::to_string(t);
-    q.push_back(model.new_int(0, m_max, std::move(qname)));
+    q.push_back(model.new_int(0, m_max));
   }
   // C2: sampled steps fixed.
   for (std::int64_t t = 0; t < factor; ++t) {
@@ -232,7 +228,7 @@ ConstraintEnforcementModule::correct_interval_smt(
   for (std::int64_t t = 0; t < factor; ++t) {
     const smt::VarId nz = model.new_bool();
     model.add_reified(nz, smt::LinExpr(q[t]), smt::Cmp::kGe, 1);
-    ne = ne + smt::LinExpr(nz);
+    ne.add_term(1, nz);
   }
   model.add_linear(ne, smt::Cmp::kLe, m_out);
   // Objective: Σ |q_t - ref_t| over non-sampled steps.
@@ -242,8 +238,8 @@ ConstraintEnforcementModule::correct_interval_smt(
     const std::int64_t ref =
         std::llround(imputed[static_cast<std::size_t>(t)]);
     const std::int64_t hi = std::max(iabs(ref), iabs(m_max - ref));
-    objective = objective + smt::LinExpr(model.add_abs(
-                                smt::LinExpr(q[t]) - smt::LinExpr(ref), hi));
+    objective.add_term(
+        1, model.add_abs(smt::LinExpr(q[t]) - smt::LinExpr(ref), hi));
   }
   model.minimize(objective);
 
@@ -275,8 +271,6 @@ ConstraintEnforcementModule::correct_interval_smt(
   smt::RepairOptions ro;
   ro.budget = config_.smt_budget;
   ro.use_cache = config_.use_repair_cache;
-  ro.portfolio_members = config_.portfolio;
-  ro.portfolio_quantum = config_.portfolio_quantum;
   const smt::SolveResult r =
       smt::repair_minimize(model, ro, have_warm ? &warm : nullptr);
   if (!r.has_solution()) {
@@ -402,14 +396,12 @@ PortCemResult ConstraintEnforcementModule::correct_port(
           const std::int64_t ref = std::llround(
               imputed[q][static_cast<std::size_t>(begin + t)]);
           const std::int64_t hi = std::max(iabs(ref), iabs(m_max - ref));
-          objective = objective +
-                      smt::LinExpr(model.add_abs(
-                          smt::LinExpr(v) - smt::LinExpr(ref), hi));
+          objective.add_term(
+              1, model.add_abs(smt::LinExpr(v) - smt::LinExpr(ref), hi));
         }
         const smt::VarId nz = model.new_bool();
         model.add_reified(nz, smt::LinExpr(v), smt::Cmp::kGe, 1);
-        step_nz[static_cast<std::size_t>(t)] =
-            step_nz[static_cast<std::size_t>(t)] + smt::LinExpr(nz);
+        step_nz[static_cast<std::size_t>(t)].add_term(1, nz);
       }
     }
 
@@ -425,7 +417,7 @@ PortCemResult ConstraintEnforcementModule::correct_port(
       model.add_linear(step_nz[static_cast<std::size_t>(t)] -
                            smt::LinExpr(any) * static_cast<std::int64_t>(nq),
                        smt::Cmp::kLe, 0);
-      ne = ne + smt::LinExpr(any);
+      ne.add_term(1, any);
     }
     const std::int64_t m_out =
         per_queue.front().port_sent[static_cast<std::size_t>(w)];
@@ -512,8 +504,6 @@ PortCemResult ConstraintEnforcementModule::correct_port(
     smt::RepairOptions ro;
     ro.budget = config_.smt_budget;
     ro.use_cache = config_.use_repair_cache;
-    ro.portfolio_members = config_.portfolio;
-    ro.portfolio_quantum = config_.portfolio_quantum;
     const smt::SolveResult r =
         smt::repair_minimize(model, ro, have_warm ? &warm : nullptr);
     if (!r.has_solution()) {

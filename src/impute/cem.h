@@ -80,10 +80,6 @@ struct CemConfig {
   /// (the fast-repair solution, or the caller's warm values) instead of
   /// discovering a first incumbent by search.
   bool warm_start = true;
-  /// Portfolio members racing seed-varied branching orders per window
-  /// (1 = single canonical solver; see smt::minimize_portfolio).
-  int portfolio = 1;
-  std::int64_t portfolio_quantum = 2048;
 };
 
 struct CemResult {

@@ -1,10 +1,6 @@
 #include "smt/format.h"
 
-#include <algorithm>
-#include <cstring>
 #include <sstream>
-
-#include "util/hash.h"
 
 namespace fmnet::smt {
 
@@ -75,97 +71,104 @@ std::string to_smtlib(const Model& model) {
 
 namespace {
 
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
+// 64-bit finalisers of splitmix64 and murmur3. Each is a bijection on
+// 64-bit words; the two lanes of a Digest use different ones, so inputs
+// that collide in one lane are not thereby likely to collide in the other.
+std::uint64_t mix_a(std::uint64_t x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
 }
 
-// Fixed-width little-endian append, independent of host endianness.
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>(v & 0xff));
-    v >>= 8;
+std::uint64_t mix_b(std::uint64_t x) {
+  x = (x ^ (x >> 33)) * 0xff51afd7ed558ccdULL;
+  x = (x ^ (x >> 33)) * 0xc4ceb9fe1a85ec53ULL;
+  return x ^ (x >> 33);
+}
+
+// Order-dependent two-lane digest of a sequence of 64-bit words.
+struct Digest {
+  std::uint64_t a = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t b = 0x2545f4914f6cdd1dULL;
+
+  Digest& add(std::uint64_t w) {
+    a = mix_a(a ^ w);
+    b = mix_b(b + w);
+    return *this;
   }
-}
+  Digest& add(std::int64_t w) { return add(static_cast<std::uint64_t>(w)); }
+};
 
-void put_i64(std::string& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
+// Order-independent digest of a multiset: the lane-wise sum of its
+// members' digests, and their count.
+struct MultisetDigest {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  std::uint64_t n = 0;
 
-std::string canonical_terms(
-    const std::vector<std::pair<std::int64_t, std::int32_t>>& terms) {
-  auto sorted = terms;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.second < b.second; });
-  std::string out;
-  put_u64(out, sorted.size());
-  for (const auto& [coef, var] : sorted) {
-    put_i64(out, coef);
-    put_i64(out, var);
+  void insert(const Digest& d) {
+    a += d.a;
+    b += d.b;
+    ++n;
   }
-  return out;
+  void add_to(Digest& d) const { d.add(n).add(a).add(b); }
+};
+
+std::int64_t var_index(std::int32_t var) { return var; }
+std::int64_t var_index(VarId var) { return var.id; }
+
+// Mixes the multiset of (coef, var) terms of a constraint or objective.
+template <typename Var>
+void add_terms(Digest& d,
+               const std::vector<std::pair<std::int64_t, Var>>& terms) {
+  MultisetDigest set;
+  for (const auto& [coef, var] : terms) {
+    set.insert(Digest{}.add(coef).add(var_index(var)));
+  }
+  set.add_to(d);
 }
 
 }  // namespace
 
-std::string canonical_bytes(const Model& model) {
-  std::string out = "smtlite.canon.v1";
+RepairKey repair_key(const Model& model) {
+  Digest key;
   const std::size_t n = model.num_vars();
-  put_u64(out, n);
+  key.add(std::uint64_t{n});
   for (std::size_t v = 0; v < n; ++v) {
-    put_i64(out, model.lower_bounds()[v]);
-    put_i64(out, model.upper_bounds()[v]);
+    key.add(model.lower_bounds()[v]).add(model.upper_bounds()[v]);
   }
 
-  std::vector<std::string> blobs;
-  blobs.reserve(model.linear_constraints().size());
+  MultisetDigest constraints;
   for (const LinearConstraint& c : model.linear_constraints()) {
-    std::string b;
-    put_u8(b, static_cast<std::uint8_t>(c.cmp));
-    put_i64(b, c.rhs);
-    put_i64(b, c.guard_var);
-    put_u8(b, c.guard_value ? 1 : 0);
-    b += canonical_terms(c.terms);
-    blobs.push_back(std::move(b));
+    Digest item;
+    item.add(static_cast<std::uint64_t>(c.cmp))
+        .add(c.rhs)
+        .add(std::int64_t{c.guard_var})
+        .add(std::uint64_t{c.guard_value});
+    add_terms(item, c.terms);
+    constraints.insert(item);
   }
-  std::sort(blobs.begin(), blobs.end());
-  put_u64(out, blobs.size());
-  for (const std::string& b : blobs) out += b;
+  constraints.add_to(key);
 
-  blobs.clear();
+  MultisetDigest clauses;
   for (const auto& clause : model.clauses()) {
-    std::vector<std::pair<std::int32_t, std::uint8_t>> lits;
-    lits.reserve(clause.size());
+    MultisetDigest lits;
     for (const BoolLit& l : clause) {
-      lits.emplace_back(l.var.id, l.positive ? 1 : 0);
+      lits.insert(Digest{}.add(std::int64_t{l.var.id}).add(
+          std::uint64_t{l.positive}));
     }
-    std::sort(lits.begin(), lits.end());
-    std::string b;
-    put_u64(b, lits.size());
-    for (const auto& [var, positive] : lits) {
-      put_i64(b, var);
-      put_u8(b, positive);
-    }
-    blobs.push_back(std::move(b));
+    Digest item;
+    lits.add_to(item);
+    clauses.insert(item);
   }
-  std::sort(blobs.begin(), blobs.end());
-  put_u64(out, blobs.size());
-  for (const std::string& b : blobs) out += b;
+  clauses.add_to(key);
 
-  put_u8(out, model.has_objective() ? 1 : 0);
+  key.add(std::uint64_t{model.has_objective()});
   if (model.has_objective()) {
-    put_i64(out, model.objective().constant());
-    std::vector<std::pair<std::int64_t, std::int32_t>> terms;
-    terms.reserve(model.objective().terms().size());
-    for (const auto& [coef, var] : model.objective().terms()) {
-      terms.emplace_back(coef, var.id);
-    }
-    out += canonical_terms(terms);
+    key.add(model.objective().constant());
+    add_terms(key, model.objective().terms());
   }
-  return out;
-}
-
-std::string repair_key(const Model& model) {
-  return util::stable_key(canonical_bytes(model));
+  return RepairKey{key.a, key.b};
 }
 
 }  // namespace fmnet::smt

@@ -1,6 +1,7 @@
-// Debug rendering of smtlite models in an SMT-LIB-flavoured text form.
+// Debug rendering of smtlite models, and the repair cache's content key.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "smt/model.h"
@@ -11,17 +12,26 @@ namespace fmnet::smt {
 /// a Model; intended for logging and test diagnostics, not for parsing.
 std::string to_smtlib(const Model& model);
 
-/// Canonical binary serialisation of a model's constraint system, used as
-/// repair-cache key material (solve_cache.h). Two models get the same bytes
-/// iff they pose the same problem to the solver: variable *names* are
-/// excluded, terms are sorted by variable, and constraints/clauses are
-/// sorted lexicographically — safe because bounds-consistency fixpoints
-/// (and therefore the canonical extraction assignment) depend only on the
-/// constraint set over (domains, objective), never on declaration order.
-std::string canonical_bytes(const Model& model);
+/// 128-bit content address of a model's constraint system.
+struct RepairKey {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  friend bool operator==(const RepairKey&, const RepairKey&) = default;
+};
 
-/// Content address of canonical_bytes(model): 32 hex digits of
-/// util::stable_key, the same addressing discipline as core/artifact_store.
-std::string repair_key(const Model& model);
+/// Repair-cache key (solve_cache.h), computed in one pass over the model
+/// without allocating. Two models get the same key iff they pose the same
+/// problem to the solver, up to a 128-bit digest collision:
+///   * the variable bounds are mixed in index order;
+///   * constraints and clauses are order-independent multisets: each item's
+///     digest is summed lane-wise into its section, so build order is lost;
+///   * the terms of a constraint, the literals of a clause and the terms of
+///     the objective are likewise summed, so their order is lost too;
+///   * variable *names* are excluded.
+/// Ignoring order is safe because bounds-consistency fixpoints (and
+/// therefore the canonical extraction assignment, solver.h) depend only on
+/// the constraint set over (domains, objective), never on declaration
+/// order.
+RepairKey repair_key(const Model& model);
 
 }  // namespace fmnet::smt

@@ -44,15 +44,18 @@ VarId Model::new_int(std::int64_t lo, std::int64_t hi, std::string name) {
   FMNET_CHECK_LE(lo, hi);
   lo_.push_back(lo);
   hi_.push_back(hi);
-  if (name.empty()) {
-    // Built in a fresh string and move-assigned: GCC 12's -Wrestrict
-    // false-positives (PR105651) on any replace/assign into `name` here.
-    std::string generated("v");
-    generated += std::to_string(lo_.size() - 1);
-    name = std::move(generated);
-  }
   names_.push_back(std::move(name));
   return VarId{static_cast<std::int32_t>(lo_.size() - 1)};
+}
+
+std::string Model::name(VarId v) const {
+  const std::string& given = names_.at(v.id);
+  if (!given.empty()) return given;
+  // Appended, not `"v" + std::to_string(...)`: GCC 12 -Wrestrict
+  // false-positives (PR105651) on operator+(const char*, std::string&&).
+  std::string generated("v");
+  generated += std::to_string(v.id);
+  return generated;
 }
 
 VarId Model::new_bool(std::string name) {
@@ -67,7 +70,7 @@ void Model::check_var(VarId v) const {
 void Model::check_bool(VarId v) const {
   check_var(v);
   FMNET_CHECK(lo_[v.id] >= 0 && hi_[v.id] <= 1,
-              "variable " + names_[v.id] + " is not boolean");
+              "variable " + name(v) + " is not boolean");
 }
 
 namespace {

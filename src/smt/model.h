@@ -86,7 +86,8 @@ struct LinearConstraint {
 /// Declarative constraint model; feed to Solver.
 class Model {
  public:
-  /// New integer variable with inclusive domain [lo, hi].
+  /// New integer variable with inclusive domain [lo, hi]. Names are for
+  /// rendering only (format.h); an unnamed variable renders as v<index>.
   VarId new_int(std::int64_t lo, std::int64_t hi, std::string name = "");
   /// New boolean (0/1) variable.
   VarId new_bool(std::string name = "");
@@ -94,7 +95,7 @@ class Model {
   std::size_t num_vars() const { return lo_.size(); }
   std::int64_t lower_bound(VarId v) const { return lo_.at(v.id); }
   std::int64_t upper_bound(VarId v) const { return hi_.at(v.id); }
-  const std::string& name(VarId v) const { return names_.at(v.id); }
+  std::string name(VarId v) const;
 
   /// Hard linear constraint  expr ⋈ rhs.
   void add_linear(const LinExpr& expr, Cmp cmp, std::int64_t rhs);
@@ -140,7 +141,7 @@ class Model {
 
   std::vector<std::int64_t> lo_;
   std::vector<std::int64_t> hi_;
-  std::vector<std::string> names_;
+  std::vector<std::string> names_;  // "" = unnamed
   std::vector<LinearConstraint> linear_;
   std::vector<std::vector<BoolLit>> clauses_;
   LinExpr objective_;

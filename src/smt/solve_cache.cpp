@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "obs/metrics.h"
-#include "smt/format.h"
 
 namespace fmnet::smt {
 
@@ -12,7 +11,7 @@ SolveCache& SolveCache::global() {
   return *cache;
 }
 
-std::optional<SolveResult> SolveCache::find(const std::string& key) {
+std::optional<SolveResult> SolveCache::find(const RepairKey& key) {
   auto& reg = obs::Registry::global();
   static obs::Counter& hits = reg.counter("smt.cache.hit");
   static obs::Counter& misses = reg.counter("smt.cache.miss");
@@ -33,7 +32,7 @@ std::optional<SolveResult> SolveCache::find(const std::string& key) {
   return std::nullopt;
 }
 
-void SolveCache::put(const std::string& key, const SolveResult& result) {
+void SolveCache::put(const RepairKey& key, const SolveResult& result) {
   if (result.status != Status::kOptimal && result.status != Status::kUnsat) {
     return;  // budget-dependent answers must never be replayed
   }
@@ -59,16 +58,13 @@ std::size_t SolveCache::size() const {
 
 SolveResult repair_minimize(const Model& model, const RepairOptions& options,
                             const WarmStart* warm) {
-  std::string key;
+  RepairKey key;
   if (options.use_cache) {
     key = repair_key(model);
     if (auto hit = SolveCache::global().find(key)) return *std::move(hit);
   }
-  PortfolioOptions po;
-  po.members = options.portfolio_members;
-  po.quantum = options.portfolio_quantum;
-  po.pool = options.pool;
-  SolveResult r = minimize_portfolio(model, options.budget, po, warm);
+  Solver solver(model, options.budget);
+  SolveResult r = warm != nullptr ? solver.minimize(*warm) : solver.minimize();
   if (options.use_cache) SolveCache::global().put(key, r);
   return r;
 }

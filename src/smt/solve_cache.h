@@ -3,9 +3,10 @@
 //
 // CEM repair poses the same constraint system over and over — telemetry
 // violation patterns recur across windows, ports and scenario reruns — so
-// the serving path keys each canonicalised system (format.h repair_key, the
-// same content-addressing discipline as core/artifact_store) and memoises
-// the *definitive* solver answers. Cache safety rests on two invariants:
+// the serving path keys each constraint system by its 128-bit digest
+// (format.h repair_key: one allocation-free pass over the model, blind to
+// names and to constraint, clause and term order) and memoises the
+// *definitive* solver answers. Cache safety rests on two invariants:
 //
 //   * only kOptimal / kUnsat results are stored — a budget-limited kSat or
 //     kUnknown depends on the budget, not just the model, and must never
@@ -21,16 +22,12 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
-#include <string>
-#include <unordered_map>
 #include <mutex>
+#include <optional>
+#include <unordered_map>
 
+#include "smt/format.h"
 #include "smt/solver.h"
-
-namespace fmnet::util {
-class ThreadPool;
-}  // namespace fmnet::util
 
 namespace fmnet::smt {
 
@@ -45,12 +42,12 @@ class SolveCache {
 
   /// Returns the memoised result (from_cache = true, zero search stats) or
   /// nullopt. Bumps smt.cache.hit / smt.cache.miss.
-  std::optional<SolveResult> find(const std::string& key);
+  std::optional<SolveResult> find(const RepairKey& key);
 
   /// Stores a definitive (kOptimal/kUnsat) result; other statuses are
   /// ignored. When full, the whole map is dropped (epoch eviction) — the
   /// bound exists to cap memory, not to maximise retention.
-  void put(const std::string& key, const SolveResult& result);
+  void put(const RepairKey& key, const SolveResult& result);
 
   void clear();
   std::size_t size() const;
@@ -62,27 +59,26 @@ class SolveCache {
     std::int64_t objective;
   };
 
+  struct KeyHash {
+    std::size_t operator()(const RepairKey& k) const { return k.a; }
+  };
+
   const std::size_t max_entries_;
   mutable std::mutex mu_;
-  std::unordered_map<std::string, Entry> map_;
+  std::unordered_map<RepairKey, Entry, KeyHash> map_;
 };
 
-/// Knobs for the cached/warm/portfolio repair path. Defaults reproduce a
-/// plain cold minimize().
+/// Knobs for the cached repair path. Defaults reproduce a plain cold
+/// minimize().
 struct RepairOptions {
   Budget budget{};
   /// Consult and fill SolveCache::global().
   bool use_cache = false;
-  /// Portfolio members (1 = single canonical solver; see
-  /// minimize_portfolio).
-  int portfolio_members = 1;
-  std::int64_t portfolio_quantum = 2048;
-  util::ThreadPool* pool = nullptr;  // nullptr = global pool
 };
 
-/// Front door for CEM repair solves: cache lookup, then (on miss) a warm /
-/// portfolio minimize, then cache fill. The returned assignment is
-/// bit-identical across every option combination whenever the solve
+/// Front door for CEM repair solves: cache lookup, then (on miss) a warm or
+/// cold minimize, then cache fill. The returned assignment is bit-identical
+/// with and without the cache and the warm start whenever the solve
 /// completes (canonical extraction + definitive-only caching).
 SolveResult repair_minimize(const Model& model, const RepairOptions& options,
                             const WarmStart* warm = nullptr);

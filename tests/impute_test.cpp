@@ -407,8 +407,8 @@ INSTANTIATE_TEST_SUITE_P(RandomWindows, CemCrossCheck,
                          });
 
 // ---------------------------------------------------------------------------
-// Serving-path accelerators: warm start, repair cache, portfolio. All of
-// them must preserve the repaired output bit-for-bit.
+// Serving-path accelerators: warm start and repair cache. Both must
+// preserve the repaired output bit-for-bit.
 // ---------------------------------------------------------------------------
 
 TEST(CemAccel, AcceleratedConfigMatchesColdExactly) {
@@ -421,7 +421,6 @@ TEST(CemAccel, AcceleratedConfigMatchesColdExactly) {
   accel_cfg.engine = CemEngine::kSmtBranchAndBound;
   accel_cfg.use_repair_cache = true;
   accel_cfg.warm_start = true;
-  accel_cfg.portfolio = 2;
   const ConstraintEnforcementModule cold(cold_cfg);
   const ConstraintEnforcementModule accel(accel_cfg);
 
@@ -450,6 +449,61 @@ TEST(CemAccel, AcceleratedConfigMatchesColdExactly) {
     EXPECT_EQ(rcached.corrected, ra.corrected) << "seed " << seed;
     EXPECT_EQ(rcached.objective, ra.objective) << "seed " << seed;
   }
+  smt::SolveCache::global().clear();
+}
+
+TEST(CemAccel, RepairCacheHitsExactlyTheRepeatedWindows) {
+  // A window stream in which some windows recur verbatim: every repeat is
+  // a cache hit, every first sighting a miss, and a hit returns the repair
+  // the first sighting produced. Each distinct window has its own m_max,
+  // so no two of them pose the same constraint system.
+  smt::SolveCache::global().clear();
+  CemConfig cfg;
+  cfg.engine = CemEngine::kSmtBranchAndBound;
+  const ConstraintEnforcementModule cem(cfg);
+  struct Window {
+    std::vector<double> imputed;
+    std::int64_t m_max = 0;
+    std::int64_t m_out = 0;
+    std::vector<std::int64_t> sample_at;
+  };
+  const std::int64_t factor = 6;
+  fmnet::Rng rng(77);
+  std::vector<Window> distinct;
+  for (std::int64_t i = 0; i < 6; ++i) {
+    Window w;
+    w.m_max = 3 + i;
+    w.m_out = rng.uniform_int(1, factor);
+    for (std::int64_t t = 0; t < factor; ++t) {
+      w.imputed.push_back(static_cast<double>(rng.uniform_int(-1, 10)));
+    }
+    w.sample_at.assign(static_cast<std::size_t>(factor), -1);
+    w.sample_at[static_cast<std::size_t>(i % factor)] =
+        rng.uniform_int(0, w.m_max);
+    distinct.push_back(std::move(w));
+  }
+  const std::vector<std::size_t> stream{0, 1, 0, 2, 3, 1, 1, 4, 5, 3, 0};
+  const std::int64_t repeats =
+      static_cast<std::int64_t>(stream.size() - distinct.size());
+
+  auto& reg = obs::Registry::global();
+  const std::int64_t hits0 = reg.counter("smt.cache.hit").value();
+  const std::int64_t miss0 = reg.counter("smt.cache.miss").value();
+  std::vector<std::vector<double>> first(distinct.size());
+  for (const std::size_t i : stream) {
+    const Window& w = distinct[i];
+    const auto r = cem.correct_window(w.imputed, w.m_max, w.m_out,
+                                      w.sample_at);
+    ASSERT_TRUE(r.feasible) << "window " << i;
+    if (first[i].empty()) {
+      first[i] = r.corrected;
+    } else {
+      EXPECT_EQ(r.corrected, first[i]) << "window " << i;
+    }
+  }
+  EXPECT_EQ(reg.counter("smt.cache.hit").value() - hits0, repeats);
+  EXPECT_EQ(reg.counter("smt.cache.miss").value() - miss0,
+            static_cast<std::int64_t>(distinct.size()));
   smt::SolveCache::global().clear();
 }
 

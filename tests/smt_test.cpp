@@ -716,23 +716,23 @@ TEST(SolverStatusTest, BudgetLimitedMinimizeIsSatNotOptimal) {
 }
 
 // ---------------------------------------------------------------------------
-// Warm starts, portfolio determinism, the repair cache and canonical keys.
+// Warm starts, canonical extraction, the repair cache and repair keys.
 // ---------------------------------------------------------------------------
 
 namespace {
-Model small_repair_model() {
+Model small_repair_model(
+    const std::vector<std::int64_t>& target = {3, 0, 5, 2, 0, 4}) {
   // A CEM-shaped miniature: values with per-step targets, an upper bound
   // and a nonzero-count cap; minimise total deviation.
   Model m;
-  const std::vector<std::int64_t> target{3, 0, 5, 2, 0, 4};
   LinExpr dev;
   LinExpr nonzero;
   for (std::size_t t = 0; t < target.size(); ++t) {
     const VarId q = m.new_int(0, 6);
-    dev = dev + LinExpr(m.add_abs(LinExpr(q) - LinExpr(target[t]), 12));
+    dev.add_term(1, m.add_abs(LinExpr(q) - LinExpr(target[t]), 12));
     const VarId ne = m.new_bool();
     m.add_reified(ne, LinExpr(q), Cmp::kGe, 1);
-    nonzero = nonzero + LinExpr(ne);
+    nonzero.add_term(1, ne);
   }
   m.add_linear(nonzero, Cmp::kLe, 2);
   m.minimize(dev);
@@ -795,50 +795,36 @@ TEST(SolverWarmStartTest, PartialHintsAreCompletedByPropagation) {
   EXPECT_EQ(r.objective, 7);  // x=0, y=7
 }
 
-TEST(SolverPortfolioTest, AnyMemberCountMatchesSingleSolver) {
-  const Model m = small_repair_model();
-  Solver single(m);
-  const auto base = single.minimize();
+TEST(SolverWarmStartTest, DifferingHintsExtractTheSameAssignment) {
+  // Three steps tie for the two non-empty slots, so the model has three
+  // optimal assignments. Warm starts from each of them, and from a worse
+  // one, seed different incumbents; canonical extraction must still
+  // return the cold solve's assignment every time.
+  const std::vector<std::int64_t> target{3, 0, 3, 2, 0, 3};
+  const Model m = small_repair_model(target);
+  Solver cold(m);
+  const auto base = cold.minimize();
   ASSERT_EQ(base.status, Status::kOptimal);
-  for (const int members : {2, 4, 7}) {
-    PortfolioOptions po;
-    po.members = members;
-    po.quantum = 64;
-    const auto r = minimize_portfolio(m, Budget{}, po, nullptr);
-    ASSERT_EQ(r.status, Status::kOptimal) << members << " members";
-    EXPECT_EQ(r.objective, base.objective) << members << " members";
-    EXPECT_EQ(r.assignment, base.assignment) << members << " members";
-  }
-}
-
-TEST(SolverPortfolioTest, UnsatIsUnsatAtAnyMemberCount) {
-  Model m;
-  const VarId x = m.new_int(0, 3, "x");
-  m.add_linear(LinExpr(x), Cmp::kGe, 5);
-  m.minimize(LinExpr(x));
-  PortfolioOptions po;
-  po.members = 4;
-  const auto r = minimize_portfolio(m, Budget{}, po, nullptr);
-  EXPECT_EQ(r.status, Status::kUnsat);
-  EXPECT_FALSE(r.has_solution());
-}
-
-TEST(SolverPortfolioTest, SeededBranchingStillExtractsCanonicalAssignment) {
-  // Different branch seeds explore in different orders but kOptimal
-  // results are canonically extracted: the assignment depends only on the
-  // model and the optimum, never on the seed.
-  const Model m = small_repair_model();
-  Solver canonical(m);
-  const auto base = canonical.minimize();
-  ASSERT_EQ(base.status, Status::kOptimal);
-  for (const std::uint64_t seed : {1ULL, 5ULL, 99ULL}) {
-    Solver::Options so;
-    so.branch_seed = seed;
-    Solver s(m, Budget{}, so);
-    const auto r = s.minimize();
-    ASSERT_EQ(r.status, Status::kOptimal) << "seed " << seed;
-    EXPECT_EQ(r.objective, base.objective) << "seed " << seed;
-    EXPECT_EQ(r.assignment, base.assignment) << "seed " << seed;
+  ASSERT_EQ(base.objective, 5);
+  // q_t is the first variable of step t's block of four (q, |dev|, sign,
+  // non-empty).
+  const std::vector<std::vector<std::int64_t>> candidates{
+      {3, 0, 3, 0, 0, 0},
+      {0, 0, 3, 0, 0, 3},
+      {3, 0, 0, 0, 0, 3},
+      {0, 0, 0, 0, 0, 0}};
+  for (std::size_t k = 0; k < candidates.size(); ++k) {
+    WarmStart warm;
+    for (std::size_t t = 0; t < target.size(); ++t) {
+      warm.hints.emplace_back(VarId{static_cast<std::int32_t>(4 * t)},
+                              candidates[k][t]);
+    }
+    Solver s(m);
+    const auto r = s.minimize(warm);
+    ASSERT_EQ(r.status, Status::kOptimal) << "hint " << k;
+    EXPECT_TRUE(r.warm_started) << "hint " << k;
+    EXPECT_EQ(r.objective, base.objective) << "hint " << k;
+    EXPECT_EQ(r.assignment, base.assignment) << "hint " << k;
   }
 }
 
@@ -877,27 +863,287 @@ TEST(SolveCacheTest, CacheOffNeverMarksFromCache) {
   EXPECT_EQ(SolveCache::global().size(), 0u);
 }
 
-TEST(CanonicalKeyTest, ConstraintOrderAndNamesDoNotChangeKey) {
-  // Same system, different build order and different variable names:
-  // identical repair key. Different rhs: different key.
-  auto build = [](bool swapped, const char* n0, std::int64_t rhs) {
-    Model m;
-    const VarId x = m.new_int(0, 10, n0);
-    const VarId y = m.new_int(0, 10, "y");
-    if (swapped) {
-      m.add_linear(LinExpr(x) - LinExpr(y), Cmp::kLe, 1);
-      m.add_linear(LinExpr(x) + LinExpr(y), Cmp::kEq, rhs);
-    } else {
-      m.add_linear(LinExpr(x) + LinExpr(y), Cmp::kEq, rhs);
-      m.add_linear(LinExpr(x) - LinExpr(y), Cmp::kLe, 1);
-    }
-    m.minimize(LinExpr(x));
-    return repair_key(m);
+namespace {
+
+// A model as plain data, so the key tests can permute and mutate it before
+// building. Variables [0, num_bools) are 0/1; the rest are integers.
+struct KeySpec {
+  struct Term {
+    std::int64_t coef;
+    std::int32_t var;
+    friend bool operator==(const Term&, const Term&) = default;
   };
-  const std::string base = build(false, "x", 7);
-  EXPECT_EQ(build(true, "x", 7), base);
-  EXPECT_EQ(build(false, "renamed", 7), base);
-  EXPECT_NE(build(false, "x", 8), base);
+  struct Constraint {
+    std::vector<Term> terms;
+    Cmp cmp = Cmp::kLe;
+    std::int64_t rhs = 0;
+    std::int32_t guard = -1;  // -1 = unguarded
+    bool guard_value = true;
+    friend bool operator==(const Constraint&, const Constraint&) = default;
+  };
+  struct Lit {
+    std::int32_t var;
+    bool positive;
+    friend bool operator==(const Lit&, const Lit&) = default;
+  };
+  std::int32_t num_bools = 0;
+  std::vector<std::pair<std::int64_t, std::int64_t>> bounds;
+  std::vector<Constraint> constraints;
+  std::vector<std::vector<Lit>> clauses;
+  std::int64_t objective_constant = 0;
+  std::vector<Term> objective;
+};
+
+Model build_key_model(const KeySpec& s, const std::string& prefix) {
+  Model m;
+  for (std::size_t v = 0; v < s.bounds.size(); ++v) {
+    std::string name(prefix);
+    name += std::to_string(v);
+    m.new_int(s.bounds[v].first, s.bounds[v].second, std::move(name));
+  }
+  auto expr = [](const std::vector<KeySpec::Term>& terms) {
+    LinExpr e;
+    for (const KeySpec::Term& t : terms) e.add_term(t.coef, VarId{t.var});
+    return e;
+  };
+  for (const KeySpec::Constraint& c : s.constraints) {
+    if (c.guard < 0) {
+      m.add_linear(expr(c.terms), c.cmp, c.rhs);
+    } else {
+      m.add_implies(BoolLit{VarId{c.guard}, c.guard_value}, expr(c.terms),
+                    c.cmp, c.rhs);
+    }
+  }
+  for (const auto& clause : s.clauses) {
+    std::vector<BoolLit> lits;
+    for (const KeySpec::Lit& l : clause) {
+      lits.push_back(BoolLit{VarId{l.var}, l.positive});
+    }
+    m.add_clause(std::move(lits));
+  }
+  m.minimize(expr(s.objective) + LinExpr(s.objective_constant));
+  return m;
+}
+
+template <typename T>
+void shuffle(std::vector<T>& v, Rng& rng) {
+  for (std::size_t i = v.size(); i > 1; --i) {
+    std::swap(v[i - 1], v[static_cast<std::size_t>(rng.uniform_int(
+                            0, static_cast<std::int64_t>(i) - 1))]);
+  }
+}
+
+std::int64_t nonzero_coef(Rng& rng) {
+  const std::int64_t c = rng.uniform_int(-4, 3);
+  return c >= 0 ? c + 1 : c;
+}
+
+// Terms over `count` distinct variables with nonzero coefficients, so
+// LinExpr neither merges nor drops any of them.
+std::vector<KeySpec::Term> random_terms(std::int32_t num_vars, int count,
+                                        Rng& rng) {
+  std::vector<std::int32_t> vars(static_cast<std::size_t>(num_vars));
+  for (std::int32_t v = 0; v < num_vars; ++v) vars[v] = v;
+  shuffle(vars, rng);
+  std::vector<KeySpec::Term> terms;
+  for (int k = 0; k < count && k < num_vars; ++k) {
+    terms.push_back({nonzero_coef(rng), vars[static_cast<std::size_t>(k)]});
+  }
+  return terms;
+}
+
+// At least two booleans, one integer, one guarded constraint, one clause
+// and one objective term, so every mutation below has a target.
+KeySpec random_key_spec(Rng& rng) {
+  KeySpec s;
+  s.num_bools = static_cast<std::int32_t>(rng.uniform_int(2, 4));
+  const auto num_ints = static_cast<std::int32_t>(rng.uniform_int(1, 4));
+  for (std::int32_t v = 0; v < s.num_bools; ++v) s.bounds.emplace_back(0, 1);
+  for (std::int32_t v = 0; v < num_ints; ++v) {
+    const std::int64_t lo = rng.uniform_int(-5, 5);
+    s.bounds.emplace_back(lo, lo + rng.uniform_int(0, 10));
+  }
+  const auto num_vars = static_cast<std::int32_t>(s.bounds.size());
+  const auto num_constraints = rng.uniform_int(2, 6);
+  for (std::int64_t k = 0; k < num_constraints; ++k) {
+    KeySpec::Constraint c;
+    c.terms = random_terms(num_vars, static_cast<int>(rng.uniform_int(1, 3)),
+                           rng);
+    c.cmp = static_cast<Cmp>(rng.uniform_int(0, 2));
+    c.rhs = rng.uniform_int(-10, 10);
+    if (k == 0 || rng.bernoulli(0.5)) {
+      c.guard = static_cast<std::int32_t>(rng.uniform_int(0, s.num_bools - 1));
+      c.guard_value = rng.bernoulli(0.5);
+    }
+    s.constraints.push_back(std::move(c));
+  }
+  const auto num_clauses = rng.uniform_int(1, 3);
+  for (std::int64_t k = 0; k < num_clauses; ++k) {
+    std::vector<KeySpec::Lit> clause;
+    const auto len = rng.uniform_int(1, 3);
+    for (std::int64_t i = 0; i < len; ++i) {
+      clause.push_back(
+          {static_cast<std::int32_t>(rng.uniform_int(0, s.num_bools - 1)),
+           rng.bernoulli(0.5)});
+    }
+    s.clauses.push_back(std::move(clause));
+  }
+  s.objective_constant = rng.uniform_int(-5, 5);
+  s.objective =
+      random_terms(num_vars, static_cast<int>(rng.uniform_int(1, 3)), rng);
+  return s;
+}
+
+template <typename T>
+T& pick(std::vector<T>& v, Rng& rng) {
+  return v[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(v.size()) - 1))];
+}
+
+std::int64_t changed_coef(std::int64_t c) { return c == -1 ? 1 : c + 1; }
+
+std::int32_t other_bool(const KeySpec& s, std::int32_t var) {
+  return (var + 1) % s.num_bools;
+}
+
+constexpr int kKeySpecs = 200;
+
+}  // namespace
+
+TEST(CanonicalKeyTest, ConstraintOrderAndNamesDoNotChangeKey) {
+  // Property: over random small models, permuting constraints, clauses,
+  // the terms of a constraint, the literals of a clause or the terms of
+  // the objective, or renaming every variable, leaves the key unchanged.
+  using Permute = void (*)(KeySpec&, Rng&);
+  const std::vector<std::pair<const char*, Permute>> permutations{
+      {"constraints", [](KeySpec& s, Rng& r) { shuffle(s.constraints, r); }},
+      {"terms",
+       [](KeySpec& s, Rng& r) {
+         for (auto& c : s.constraints) shuffle(c.terms, r);
+       }},
+      {"clauses", [](KeySpec& s, Rng& r) { shuffle(s.clauses, r); }},
+      {"literals",
+       [](KeySpec& s, Rng& r) {
+         for (auto& c : s.clauses) shuffle(c, r);
+       }},
+      {"objective terms",
+       [](KeySpec& s, Rng& r) { shuffle(s.objective, r); }},
+      {"all of them", [](KeySpec& s, Rng& r) {
+         shuffle(s.constraints, r);
+         for (auto& c : s.constraints) shuffle(c.terms, r);
+         shuffle(s.clauses, r);
+         for (auto& c : s.clauses) shuffle(c, r);
+         shuffle(s.objective, r);
+       }}};
+  Rng rng(2024);
+  for (int i = 0; i < kKeySpecs; ++i) {
+    const KeySpec spec = random_key_spec(rng);
+    const RepairKey base = repair_key(build_key_model(spec, "x"));
+    EXPECT_EQ(repair_key(build_key_model(spec, "renamed_")), base)
+        << "renaming, spec " << i;
+    for (const auto& [what, permute] : permutations) {
+      KeySpec permuted = spec;
+      permute(permuted, rng);
+      EXPECT_EQ(repair_key(build_key_model(permuted, "x")), base)
+          << "permuting " << what << ", spec " << i;
+    }
+  }
+}
+
+TEST(CanonicalKeyTest, ChangingAnyOneFieldChangesKey) {
+  // Property: over random small models, changing any single field the
+  // solver reads gives a different key.
+  using Mutate = void (*)(KeySpec&, Rng&);
+  const std::vector<std::pair<const char*, Mutate>> mutations{
+      {"bound",
+       [](KeySpec& s, Rng& r) {
+         auto& b = s.bounds[static_cast<std::size_t>(r.uniform_int(
+             s.num_bools, static_cast<std::int64_t>(s.bounds.size()) - 1))];
+         if (r.bernoulli(0.5)) {
+           --b.first;
+         } else {
+           ++b.second;
+         }
+       }},
+      {"coefficient",
+       [](KeySpec& s, Rng& r) {
+         auto& t = pick(pick(s.constraints, r).terms, r);
+         t.coef = changed_coef(t.coef);
+       }},
+      {"rhs", [](KeySpec& s, Rng& r) { ++pick(s.constraints, r).rhs; }},
+      {"cmp",
+       [](KeySpec& s, Rng& r) {
+         auto& c = pick(s.constraints, r);
+         c.cmp = static_cast<Cmp>((static_cast<int>(c.cmp) + 1) % 3);
+       }},
+      {"guard var",
+       [](KeySpec& s, Rng&) {
+         s.constraints[0].guard = other_bool(s, s.constraints[0].guard);
+       }},
+      {"guard value",
+       [](KeySpec& s, Rng&) {
+         s.constraints[0].guard_value = !s.constraints[0].guard_value;
+       }},
+      {"clause literal polarity",
+       [](KeySpec& s, Rng& r) {
+         auto& l = pick(pick(s.clauses, r), r);
+         l.positive = !l.positive;
+       }},
+      {"clause literal var",
+       [](KeySpec& s, Rng& r) {
+         auto& l = pick(pick(s.clauses, r), r);
+         l.var = other_bool(s, l.var);
+       }},
+      {"objective constant",
+       [](KeySpec& s, Rng&) { ++s.objective_constant; }},
+      {"objective coefficient", [](KeySpec& s, Rng& r) {
+         auto& t = pick(s.objective, r);
+         t.coef = changed_coef(t.coef);
+       }}};
+  Rng rng(4048);
+  for (int i = 0; i < kKeySpecs; ++i) {
+    const KeySpec spec = random_key_spec(rng);
+    const RepairKey base = repair_key(build_key_model(spec, "x"));
+    for (const auto& [what, mutate] : mutations) {
+      KeySpec mutated = spec;
+      mutate(mutated, rng);
+      EXPECT_NE(repair_key(build_key_model(mutated, "x")), base)
+          << "changing a " << what << ", spec " << i;
+    }
+  }
+}
+
+TEST(CanonicalKeyTest, RepeatedItemsDoNotCancel) {
+  // A constraint or clause that appears twice still counts twice: the
+  // model with items {A, A, rest} and the one with {B, B, rest} differ
+  // whenever A and B do (an XOR-combined multiset would map both to
+  // {rest}).
+  Rng rng(8096);
+  int compared = 0;
+  for (int i = 0; i < kKeySpecs; ++i) {
+    const KeySpec spec = random_key_spec(rng);
+    if (spec.constraints[0] != spec.constraints[1]) {
+      KeySpec twice_a = spec;
+      twice_a.constraints[1] = spec.constraints[0];
+      KeySpec twice_b = spec;
+      twice_b.constraints[0] = spec.constraints[1];
+      EXPECT_NE(repair_key(build_key_model(twice_a, "x")),
+                repair_key(build_key_model(twice_b, "x")))
+          << "constraints, spec " << i;
+      ++compared;
+    }
+    if (spec.clauses.size() >= 2 && spec.clauses[0] != spec.clauses[1]) {
+      KeySpec twice_a = spec;
+      twice_a.clauses[1] = spec.clauses[0];
+      KeySpec twice_b = spec;
+      twice_b.clauses[0] = spec.clauses[1];
+      EXPECT_NE(repair_key(build_key_model(twice_a, "x")),
+                repair_key(build_key_model(twice_b, "x")))
+          << "clauses, spec " << i;
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, kKeySpecs);
 }
 
 std::vector<RandomInstance> make_instances() {
