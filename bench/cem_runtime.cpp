@@ -14,9 +14,9 @@
 //     the previous window's solution (incremental solving), and the
 //     content-addressed repair cache. All three must produce
 //     byte-identical repairs (the bench exits non-zero otherwise — CI's
-//     cache-correctness check), and the per-window medians feed the
-//     BENCH_cem.json perf gate:
+//     cache-correctness check). The per-window medians are exported as
 //       bench.cem.{cold,warm,cache}.win_per_s
+//     and CI floors the within-run ratios
 //       bench.cem.warm_speedup / bench.cem.cache_speedup
 #include <algorithm>
 #include <cstdio>

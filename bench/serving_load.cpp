@@ -185,8 +185,6 @@ int main() {
           ? static_cast<double>(run1.stats.windows_raw) / run1.elapsed_s
           : 0.0;
   const double lane_speedup = win_per_s_1 > 0 ? win_per_s / win_per_s_1 : 0.0;
-  const double repair_win_per_s =
-      elapsed > 0 ? static_cast<double>(st.windows_repaired) / elapsed : 0.0;
   const std::int64_t offered = st.windows_raw + st.windows_degraded;
   const double shed_rate =
       offered > 0
@@ -198,7 +196,6 @@ int main() {
   auto& reg = obs::Registry::global();
   reg.gauge("bench.serve.sessions").set(static_cast<double>(load.sessions));
   reg.gauge("bench.serve.win_per_s").set_max(win_per_s);
-  reg.gauge("bench.serve.repair.win_per_s").set_max(repair_win_per_s);
   reg.gauge("bench.serve.p50_ms").set(p50);
   reg.gauge("bench.serve.p99_ms").set(p99);
   reg.gauge("bench.serve.shed_rate").set(shed_rate);
@@ -215,7 +212,6 @@ int main() {
   table.add_row({"raw windows/s", Table::fmt(win_per_s)});
   table.add_row({"raw windows/s, 1 lane", Table::fmt(win_per_s_1)});
   table.add_row({"lane speedup", Table::fmt(lane_speedup)});
-  table.add_row({"repaired windows/s", Table::fmt(repair_win_per_s)});
   table.add_row({"p50 raw latency (ms)", Table::fmt(p50)});
   table.add_row({"p99 raw latency (ms)", Table::fmt(p99)});
   table.add_row({"shed rate", Table::fmt(shed_rate)});

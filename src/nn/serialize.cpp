@@ -1,9 +1,12 @@
 #include "nn/serialize.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <vector>
 
 #include "util/check.h"
 
@@ -24,7 +27,18 @@ T read_pod(std::istream& in) {
   FMNET_CHECK(in.good(), "unexpected end of checkpoint stream");
   return v;
 }
+
+bool all_finite(const std::vector<float>& values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](float v) { return std::isfinite(v); });
+}
 }  // namespace
+
+bool all_parameters_finite(const Module& module) {
+  const auto params = module.parameters();
+  return std::all_of(params.begin(), params.end(),
+                     [](const Tensor& p) { return all_finite(p.data()); });
+}
 
 void save_parameters(const Module& module, std::ostream& out) {
   const auto params = module.parameters();
@@ -44,15 +58,24 @@ void load_parameters(Module& module, std::istream& in) {
   auto params = module.parameters();
   const auto count = read_pod<std::uint64_t>(in);
   FMNET_CHECK_EQ(count, params.size());
-  for (Tensor& p : params) {
+  // Every tensor is read and checked before any is copied in, so a
+  // rejected checkpoint leaves the module exactly as it was.
+  std::vector<std::vector<float>> staged(params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const Tensor& p = params[i];
     const auto ndim = read_pod<std::uint64_t>(in);
     FMNET_CHECK_EQ(ndim, p.ndim());
     for (std::size_t d = 0; d < ndim; ++d) {
       FMNET_CHECK_EQ(read_pod<std::int64_t>(in), p.shape()[d]);
     }
-    in.read(reinterpret_cast<char*>(p.data().data()),
-            static_cast<std::streamsize>(p.data().size() * sizeof(float)));
+    staged[i].resize(p.data().size());
+    in.read(reinterpret_cast<char*>(staged[i].data()),
+            static_cast<std::streamsize>(staged[i].size() * sizeof(float)));
     FMNET_CHECK(in.good(), "unexpected end of checkpoint stream");
+    FMNET_CHECK(all_finite(staged[i]), "checkpoint holds non-finite weights");
+  }
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    std::copy(staged[i].begin(), staged[i].end(), params[i].data().begin());
   }
 }
 

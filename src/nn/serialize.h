@@ -14,12 +14,19 @@ namespace fmnet::nn {
 void save_parameters(const Module& module, const std::string& path);
 
 /// Loads parameters saved by save_parameters into `module`. The module must
-/// have identical architecture: tensor count and shapes are verified.
+/// have identical architecture: tensor count and shapes are verified, and
+/// every value must be finite. A rejected checkpoint throws CheckError and
+/// leaves `module` untouched.
 void load_parameters(Module& module, const std::string& path);
 
 /// Stream variants of the same format, used by the engine's artifact store
 /// to checkpoint trained models under content-addressed keys.
 void save_parameters(const Module& module, std::ostream& out);
 void load_parameters(Module& module, std::istream& in);
+
+/// True when every learned scalar of `module` is finite. A diverged fit
+/// must not reach a checkpoint: its content key stays valid, so every warm
+/// run would load and serve it.
+bool all_parameters_finite(const Module& module);
 
 }  // namespace fmnet::nn

@@ -4,6 +4,7 @@
 // store.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +16,7 @@
 #include "core/engine.h"
 #include "core/evaluation.h"
 #include "core/scenario.h"
+#include "nn/serialize.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 #include "util/hash.h"
@@ -279,6 +281,37 @@ TEST(Engine, DivergedFitIsRefusedAndNeverCheckpointed) {
   EXPECT_FALSE(
       store.find("checkpoint", core::Engine::checkpoint_key(s, "transformer"))
           .has_value());
+}
+
+TEST(Engine, NonFiniteCheckpointIsRetrainedAsCold) {
+  // A NaN checkpoint under the method's key must be refused, and the retrain
+  // must start from the constructed model, not from weights a rejected load
+  // left behind: the result equals a fit on a cold store.
+  const core::Scenario s = small_scenario();
+  core::Engine cold{core::ArtifactStore(fresh_dir("engine_cold_fit"))};
+  const core::Campaign campaign = cold.campaign(s.campaign);
+  const core::PreparedData data = cold.prepare(s, campaign);
+  const auto fitted = cold.fit_method(s, "transformer+kal", data);
+
+  // Trained weights with the last value poisoned: every tensor but the
+  // last differs from the constructed model.
+  const auto bad = cold.fit_method(s, "transformer+kal", data);
+  bad.trainable->model().parameters().back().data().back() = std::nanf("");
+  const std::string dir = fresh_dir("engine_nan_checkpoint");
+  core::ArtifactStore(dir).put(
+      "checkpoint", core::Engine::checkpoint_key(s, "transformer+kal"),
+      [&](std::ostream& out) {
+        nn::save_parameters(bad.trainable->model(), out);
+      });
+
+  core::Engine warm{core::ArtifactStore(dir)};
+  const auto refit = warm.fit_method(s, "transformer+kal", data);
+  const auto want = fitted.trainable->model().parameters();
+  const auto got = refit.trainable->model().parameters();
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want[i].data(), got[i].data()) << "parameter " << i;
+  }
 }
 
 TEST(Engine, WarmRunServesFromCacheBitIdentically) {

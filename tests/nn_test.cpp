@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <vector>
 
 #include "nn/attention.h"
 #include "nn/kal.h"
@@ -440,17 +442,21 @@ TEST(Transformer, BatchIndependence) {
   }
 }
 
-TEST(Serialize, RoundTripRestoresExactWeights) {
-  fmnet::Rng rng(20);
+/// A small transformer for the checkpoint tests, initialised from `seed`.
+ImputationTransformer tiny_transformer(std::uint64_t seed) {
+  fmnet::Rng rng(seed);
   TransformerConfig cfg;
   cfg.input_channels = 2;
   cfg.d_model = 8;
   cfg.num_heads = 2;
   cfg.num_layers = 1;
   cfg.d_ff = 8;
-  ImputationTransformer a(cfg, rng);
-  fmnet::Rng rng2(21);
-  ImputationTransformer b(cfg, rng2);
+  return ImputationTransformer(cfg, rng);
+}
+
+TEST(Serialize, RoundTripRestoresExactWeights) {
+  ImputationTransformer a = tiny_transformer(20);
+  ImputationTransformer b = tiny_transformer(21);
 
   const std::string path = ::testing::TempDir() + "/fmnet_ckpt_test.bin";
   save_parameters(a, path);
@@ -480,6 +486,40 @@ TEST(Serialize, RejectsArchitectureMismatch) {
   const std::string path = ::testing::TempDir() + "/fmnet_ckpt_bad.bin";
   save_parameters(a, path);
   EXPECT_THROW(load_parameters(b, path), CheckError);
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, RejectsNonFiniteWeights) {
+  ImputationTransformer a = tiny_transformer(23);
+  ImputationTransformer b = tiny_transformer(24);
+  a.parameters().back().data().back() = std::nanf("");
+  EXPECT_FALSE(all_parameters_finite(a));
+  EXPECT_TRUE(all_parameters_finite(b));
+
+  const std::string path = ::testing::TempDir() + "/fmnet_ckpt_nan.bin";
+  save_parameters(a, path);
+  EXPECT_THROW(load_parameters(b, path), CheckError);
+  EXPECT_TRUE(all_parameters_finite(b));
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, RejectedLoadLeavesWeightsUntouched) {
+  // The last tensor is the bad one, so a load that copied tensor by tensor
+  // would already have overwritten all the others when it threw.
+  ImputationTransformer a = tiny_transformer(25);
+  ImputationTransformer b = tiny_transformer(26);
+  a.parameters().back().data().back() = std::numeric_limits<float>::infinity();
+  std::vector<std::vector<float>> before;
+  for (const Tensor& p : b.parameters()) before.push_back(p.data());
+
+  const std::string path = ::testing::TempDir() + "/fmnet_ckpt_inf.bin";
+  save_parameters(a, path);
+  EXPECT_THROW(load_parameters(b, path), CheckError);
+  const auto after = b.parameters();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].data(), before[i]) << "parameter " << i;
+  }
   std::remove(path.c_str());
 }
 
