@@ -58,8 +58,8 @@ int main() {
           campaign.gt.queue_len[ex.queue][ex.start_ms + t]);
     }
     // Coarse view: hold the periodic sample across each interval.
-    for (std::size_t s = 0; s < ex.constraints.sample_idx.size(); ++s) {
-      const double v = static_cast<double>(ex.constraints.sample_val[s]) *
+    for (std::size_t j = 0; j < ex.constraints.sample_idx.size(); ++j) {
+      const double v = static_cast<double>(ex.constraints.sample_val[j]) *
                        ex.qlen_scale;
       for (std::int64_t k = 0; k < ex.constraints.coarse_factor; ++k) {
         coarse_series[q].push_back(v);
